@@ -1,7 +1,7 @@
-//! Serial vs parallel learning: wall-clock of the same episode budget
-//! at different rollout fan-outs. On a multi-core machine the K > 1
-//! variants should approach `serial / min(K, cores)`; on a single core
-//! they stay within rayon's overhead of the serial time.
+//! Wall-clock of the same episode budget at different rollout fan-outs
+//! (`rollouts/1` is the serial learner). On a multi-core machine the
+//! K > 1 variants should approach `serial / min(K, cores)`; on a single
+//! core they stay within rayon's overhead of the serial time.
 //!
 //! The `learning_threads` group pins the rollout fan-out at 8 and
 //! varies only the rayon pool size (1/2/4/8 worker threads), so the
@@ -12,8 +12,9 @@
 
 use cloud::Fleet;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use obs::Tracer;
 use rayon::ThreadPoolBuilder;
-use reassign::{learn, learn_parallel, ReassignConfig};
+use reassign::{LearnRun, ReassignConfig};
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
 
@@ -27,17 +28,16 @@ fn rollout_fanout(c: &mut Criterion) {
     let config = ReassignConfig { episodes: EPISODES, ..ReassignConfig::default() };
     let mut group = c.benchmark_group("learning_rollouts");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| learn(&wf, &fleet, "bench", &config, &sim, None).unwrap().greedy_makespan)
-    });
     for rollouts in [1u32, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("parallel", rollouts),
+            BenchmarkId::new("rollouts", rollouts),
             &rollouts,
             |b, &rollouts| {
                 b.iter(|| {
-                    learn_parallel(&wf, &fleet, "bench", &config, &sim, rollouts, None)
+                    LearnRun { rollouts, ..LearnRun::new(&wf, &fleet, "bench", &config, &sim) }
+                        .run(&mut Tracer::disabled())
                         .unwrap()
+                        .outcome
                         .greedy_makespan
                 })
             },
@@ -66,9 +66,14 @@ fn thread_matrix(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
             b.iter(|| {
                 pool.install(|| {
-                    learn_parallel(&wf, &fleet, "bench", &config, &sim, MATRIX_ROLLOUTS, None)
-                        .unwrap()
-                        .greedy_makespan
+                    LearnRun {
+                        rollouts: MATRIX_ROLLOUTS,
+                        ..LearnRun::new(&wf, &fleet, "bench", &config, &sim)
+                    }
+                    .run(&mut Tracer::disabled())
+                    .unwrap()
+                    .outcome
+                    .greedy_makespan
                 })
             })
         });

@@ -3,7 +3,7 @@
 //!
 //! Runs the `exp_table2`-equivalent quick sweep — the 27 (α, γ, ε)
 //! combinations across the three Table I fleets, **sequentially** so the per-round
-//! rollout fan-out inside `reassign::learn_parallel` is the only
+//! rollout fan-out inside `reassign::LearnRun` is the only
 //! parallelism being measured — once serially (`--rollouts 1` path) and
 //! once with 8 rollouts per round.
 //!

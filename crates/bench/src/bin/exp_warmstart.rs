@@ -8,7 +8,8 @@
 //! ```
 
 use cloud::Fleet;
-use reassign::{learn, learn_with_demonstration, ReassignConfig};
+use obs::Tracer;
+use reassign::{learn, LearnRun, ReassignConfig};
 use sched::heft_plan;
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
@@ -25,8 +26,13 @@ fn main() {
     for episodes in [1u32, 5, 10, 25, 50, 100] {
         let config = ReassignConfig { episodes, ..ReassignConfig::default() };
         let cold = learn(&wf, &fleet, "cold", &config, &sim, None).expect("cold");
-        let warm = learn_with_demonstration(&wf, &fleet, "warm", &config, &sim, &demo, None)
-            .expect("warm");
+        let warm = LearnRun {
+            demonstration: Some(&demo),
+            ..LearnRun::new(&wf, &fleet, "warm", &config, &sim)
+        }
+        .run(&mut Tracer::disabled())
+        .expect("warm")
+        .outcome;
         println!(
             " {:>8} | {:>13.1} | {:>13.1} | {:>15.1} | {:>15.1}",
             episodes,

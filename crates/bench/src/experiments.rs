@@ -1,8 +1,9 @@
 //! Regeneration functions for Tables I–V and the ablations.
 
 use cloud::{FaultConfig, Fleet, ReplicationPolicy};
+use obs::Tracer;
 use rayon::prelude::*;
-use reassign::{learn, learn_parallel, LearnOutcome, ReassignConfig};
+use reassign::{learn, LearnOutcome, LearnRun, ReassignConfig};
 use sched::heft_plan;
 use scirun::{ExecConfig, ExecutionEngine};
 use wfcommon::{SimTime, VmId};
@@ -130,19 +131,12 @@ pub fn sweep(settings: &SweepSettings) -> SweepResult {
                         ..ReassignConfig::sweep_point(alpha, gamma, epsilon)
                     };
                     let label = format!("{vcpus}vcpus");
-                    let out = if settings.rollouts > 1 {
-                        learn_parallel(
-                            &wf,
-                            fleet,
-                            &label,
-                            &config,
-                            &sim_config,
-                            settings.rollouts,
-                            None,
-                        )
-                    } else {
-                        learn(&wf, fleet, &label, &config, &sim_config, None)
+                    let out = LearnRun {
+                        rollouts: settings.rollouts,
+                        ..LearnRun::new(&wf, fleet, &label, &config, &sim_config)
                     }
+                    .run(&mut Tracer::disabled())
+                    .map(|tuned| tuned.outcome)
                     .expect("sweep learning run failed");
                     (fi, out)
                 })
@@ -171,7 +165,7 @@ pub fn sweep(settings: &SweepSettings) -> SweepResult {
 /// Wall-clock seconds of an `exp_table2`-equivalent learning pass run
 /// **sequentially over the 27 parameter combinations × the three paper
 /// fleets**, with the per-round rollout fan-out as the only parallelism.
-/// This isolates the speedup of `reassign::learn_parallel` itself —
+/// This isolates the speedup of `reassign::LearnRun::rollouts` itself —
 /// unlike [`sweep`], which already parallelizes across combinations.
 pub fn learning_wall_clock(episodes: u32, rollouts: u32, seed: u64) -> f64 {
     let wf = montage50();
@@ -188,11 +182,12 @@ pub fn learning_wall_clock(episodes: u32, rollouts: u32, seed: u64) -> f64 {
                         seed,
                         ..ReassignConfig::sweep_point(alpha, gamma, epsilon)
                     };
-                    let out = if rollouts > 1 {
-                        learn_parallel(&wf, fleet, &label, &config, &sim_config, rollouts, None)
-                    } else {
-                        learn(&wf, fleet, &label, &config, &sim_config, None)
+                    let out = LearnRun {
+                        rollouts,
+                        ..LearnRun::new(&wf, fleet, &label, &config, &sim_config)
                     }
+                    .run(&mut Tracer::disabled())
+                    .map(|tuned| tuned.outcome)
                     .expect("timed learning run failed");
                     assert_eq!(out.episodes.len(), episodes as usize);
                 }

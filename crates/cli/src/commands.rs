@@ -5,7 +5,7 @@ use cloud::Fleet;
 use obs::{
     event_type_summary, render_context, trace_diff_events, EventDiff, JsonlSink, TraceEvent, Tracer,
 };
-use reassign::{learn_parallel_traced, learn_traced, ReassignConfig};
+use reassign::{LearnRun, ReassignConfig};
 use wfcommon::{Error, Result, SeedDerivation};
 use wfsim::{
     simulate, simulate_traced, FixedPlanScheduler, FluctuationKind, Metrics, Plan, SimConfig,
@@ -150,36 +150,20 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<()> {
                 }
                 _ => provenance::ProvenanceStore::new(),
             };
-            // rollouts = 1 takes the serial path (bitwise-equivalent to
-            // learn_parallel at K = 1, but with no thread-pool in play).
             let mut trace_file = open_trace(trace_out.as_ref())?;
             let outcome = {
                 let mut tracer = match trace_file.as_mut() {
                     Some(f) => Tracer::new(&mut f.sink).with_timing(phase_timings),
                     None => Tracer::disabled(),
                 };
-                if rollouts > 1 {
-                    learn_parallel_traced(
-                        &wf,
-                        &fleet_vms,
-                        &format!("{fleet}vcpus"),
-                        &config,
-                        &sim_cfg,
-                        rollouts,
-                        Some(&mut store),
-                        &mut tracer,
-                    )?
-                } else {
-                    learn_traced(
-                        &wf,
-                        &fleet_vms,
-                        &format!("{fleet}vcpus"),
-                        &config,
-                        &sim_cfg,
-                        Some(&mut store),
-                        &mut tracer,
-                    )?
-                }
+                let fleet_label = format!("{fleet}vcpus");
+                let run = LearnRun {
+                    rollouts,
+                    provenance: Some(&mut store),
+                    ..LearnRun::new(&wf, &fleet_vms, &fleet_label, &config, &sim_cfg)
+                };
+                tracer.emit_with(|| run.header());
+                run.run(&mut tracer)?.outcome
             };
             close_trace(trace_file)?;
             if let Some(path) = &metrics_out {

@@ -29,30 +29,6 @@ impl QLearnerConfig {
     }
 }
 
-/// One recorded TD step, for deferred (batched) application.
-///
-/// A parallel rollout records the `(s, a, r, t)` of every update it
-/// performed locally plus the successor state's action rows (`pending`)
-/// — *not* the bootstrap value itself. Replaying the batch recomputes
-/// each bootstrap against the table state at apply time, so replaying
-/// onto a bitwise-identical table reproduces the rollout's updates
-/// exactly, while replaying onto a table that already absorbed earlier
-/// rollouts blends their learning deterministically.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Transition {
-    /// State row updated.
-    pub s: usize,
-    /// Action column updated.
-    pub a: usize,
-    /// Observed reward.
-    pub reward: f64,
-    /// Decision epoch within the episode (drives `γ^t` discounting).
-    pub t: u64,
-    /// State rows still pending after this step (successor action set;
-    /// empty ⇒ terminal).
-    pub pending: Vec<usize>,
-}
-
 /// Applies temporal-difference updates to a [`DenseQTable`].
 #[derive(Clone, Debug)]
 pub struct QLearner {
@@ -100,18 +76,6 @@ impl QLearner {
         let delta = reward + gamma_t * next_best - table.get(s, a);
         table.add(s, a, self.config.alpha * delta);
         delta
-    }
-
-    /// Apply a batch of recorded transitions to `table` in order, each
-    /// bootstrapping from the table state *at apply time* (see
-    /// [`Transition`]). Returns the summed `|δ|` of the batch.
-    pub fn apply_transitions(&self, table: &mut DenseQTable, batch: &[Transition]) -> f64 {
-        let mut total_abs_delta = 0.0;
-        for tr in batch {
-            let next_best = table.max_over_rows(&tr.pending);
-            total_abs_delta += self.update(table, tr.s, tr.a, tr.reward, next_best, tr.t).abs();
-        }
-        total_abs_delta
     }
 }
 
@@ -174,47 +138,6 @@ mod tests {
             l.update(&mut t, 0, 0, 1.0, nb, step);
         }
         assert!((t.get(0, 0) - 10.0).abs() < 0.01, "Q = {}", t.get(0, 0));
-    }
-
-    #[test]
-    fn replayed_batch_reproduces_direct_updates_bitwise() {
-        // Direct path: updates applied immediately, bootstraps read the
-        // evolving table. Batch path: the same (s, a, r, t, pending)
-        // replayed onto a copy of the starting table. Both must agree
-        // to the last bit — the parallel learner's K=1 contract.
-        let l = QLearner::new(QLearnerConfig { alpha: 0.37, gamma: 0.93, discount_power_t: true })
-            .unwrap();
-        let mut direct = DenseQTable::zeros(4, 3);
-        direct.set(1, 2, 0.25);
-        direct.set(3, 0, -0.5);
-        let start = direct.clone();
-
-        let steps: Vec<(usize, usize, f64, Vec<usize>)> = vec![
-            (0, 1, 1.0, vec![1, 2, 3]),
-            (1, 2, -1.0, vec![2, 3]),
-            (2, 0, 1.0, vec![3]),
-            (3, 0, 1.0, vec![]),
-        ];
-        let mut batch = Vec::new();
-        for (t, (s, a, r, pending)) in steps.into_iter().enumerate() {
-            let next_best = direct.max_over_rows(&pending);
-            l.update(&mut direct, s, a, r, next_best, t as u64);
-            batch.push(Transition { s, a, reward: r, t: t as u64, pending });
-        }
-
-        let mut replayed = start;
-        l.apply_transitions(&mut replayed, &batch);
-        assert_eq!(direct, replayed);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let l = learner(0.5, 0.9);
-        let mut t = DenseQTable::zeros(2, 2);
-        t.set(0, 0, 1.5);
-        let before = t.clone();
-        assert_eq!(l.apply_transitions(&mut t, &[]), 0.0);
-        assert_eq!(t, before);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod sarsa;
 pub mod schedule;
 
 pub use double_q::DoubleQLearner;
-pub use learner::{QLearner, QLearnerConfig, Transition};
+pub use learner::{QLearner, QLearnerConfig};
 pub use policy::{EpsilonGreedy, Greedy, PaperEpsilonGreedy, Policy, Softmax, Ucb1};
 pub use qtable::DenseQTable;
 pub use sarsa::ExpectedSarsa;

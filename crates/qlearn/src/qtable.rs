@@ -104,22 +104,27 @@ impl DenseQTable {
     }
 
     /// `max Q(s, a)` pooled over the action sets of several state
-    /// `rows` — the bootstrap target when the successor state offers
-    /// every action of every pending row. Returns 0 for an empty row
+    /// `rows` — the TD bootstrap when the successor state offers every
+    /// action of every pending row. With an `overlay` (a flat row-major
+    /// buffer of this table's shape) the values read are
+    /// `Q(s, a) + overlay[s · cols + a]`. Returns 0 for an empty row
     /// set (terminal-state convention, matching [`Self::max_over`]).
-    pub fn max_over_rows(&self, rows: &[usize]) -> f64 {
-        if rows.is_empty() {
-            return 0.0;
+    pub fn max_over_rows(&self, rows: &[usize], overlay: Option<&[f64]>) -> f64 {
+        let row_max = |s: usize| match overlay {
+            None => self.max_over(s, None),
+            Some(overlay) => self
+                .row(s)
+                .iter()
+                .zip(&overlay[s * self.cols..(s + 1) * self.cols])
+                .map(|(v, d)| v + d)
+                .fold(f64::NEG_INFINITY, f64::max),
+        };
+        let best = rows.iter().map(|&s| row_max(s)).fold(f64::NEG_INFINITY, f64::max);
+        if best == f64::NEG_INFINITY {
+            0.0
+        } else {
+            best
         }
-        let mut best = f64::NEG_INFINITY;
-        for &s in rows {
-            for &v in self.row(s) {
-                if v > best {
-                    best = v;
-                }
-            }
-        }
-        best
     }
 
     /// Largest absolute Q value (for convergence diagnostics).
@@ -207,14 +212,16 @@ mod tests {
         let mut t = DenseQTable::zeros(3, 2);
         t.set(0, 1, 4.0);
         t.set(2, 0, 9.0);
-        assert_eq!(t.max_over_rows(&[0, 1]), 4.0);
-        assert_eq!(t.max_over_rows(&[0, 1, 2]), 9.0);
-        assert_eq!(t.max_over_rows(&[]), 0.0, "terminal convention");
+        assert_eq!(t.max_over_rows(&[0, 1], None), 4.0);
+        assert_eq!(t.max_over_rows(&[0, 1, 2], None), 9.0);
+        assert_eq!(t.max_over_rows(&[], None), 0.0, "terminal convention");
         // All-negative rows still return the true max, not zero.
         let mut neg = DenseQTable::zeros(1, 2);
         neg.set(0, 0, -3.0);
         neg.set(0, 1, -1.0);
-        assert_eq!(neg.max_over_rows(&[0]), -1.0);
+        assert_eq!(neg.max_over_rows(&[0], None), -1.0);
+        // The overlay is added cell by cell before the max is taken.
+        assert_eq!(t.max_over_rows(&[0, 1], Some(&[0.0, 0.0, 6.0, 0.0, 0.0, 0.0])), 6.0);
     }
 
     #[test]

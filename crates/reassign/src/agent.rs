@@ -4,18 +4,164 @@ use crate::config::{EpsilonConvention, ReassignConfig, RlAlgorithm};
 use crate::reward::RewardTracker;
 use qlearn::{
     DenseQTable, DoubleQLearner, EpsilonGreedy, ExpectedSarsa, PaperEpsilonGreedy, Policy as _,
-    QLearner, QLearnerConfig, Transition,
+    QLearner, QLearnerConfig,
 };
 use wfcommon::ids::Idx;
 use wfcommon::rng::Rng;
 use wfcommon::{ActivationId, SeedDerivation, VmId};
-use wfsim::{CompletionInfo, Decision, Scheduler, SchedulerContext, SimResult};
+use wfsim::{CompletionInfo, Decision, ExecHistory, Scheduler, SchedulerContext};
+
+/// `(vm, te, tf)` of one observed completion — what the engine feeds
+/// [`ExecHistory::record`].
+pub(crate) type Sample = (VmId, f64, f64);
 
 /// The agent's action-selection policy (paper vs textbook ε reading).
 #[derive(Clone)]
 enum AgentPolicy {
     Paper(PaperEpsilonGreedy),
     Textbook(EpsilonGreedy),
+}
+
+impl AgentPolicy {
+    fn epsilon(&self) -> f64 {
+        match self {
+            AgentPolicy::Paper(p) => p.epsilon,
+            AgentPolicy::Textbook(p) => p.epsilon,
+        }
+    }
+
+    fn set_epsilon(&mut self, epsilon: f64) {
+        match self {
+            AgentPolicy::Paper(p) => p.epsilon = epsilon,
+            AgentPolicy::Textbook(p) => p.epsilon = epsilon,
+        }
+    }
+
+    fn select(&mut self, allowed: &[usize], q_of: &dyn Fn(usize) -> f64, rng: &mut Rng) -> usize {
+        match self {
+            AgentPolicy::Paper(p) => p.select(allowed, q_of, rng),
+            AgentPolicy::Textbook(p) => p.select(allowed, q_of, rng),
+        }
+    }
+}
+
+/// Everything one episode's decisions and TD steps need besides the
+/// value table: the policy with this episode's ε, the episode's
+/// exploration stream, the smoothed reward, the decision epoch and the
+/// completed-activation mask. The in-place agent and the delta rollout
+/// both drive their episode through this one type, so the two cannot
+/// drift apart. The vectors keep their capacity across episodes.
+#[derive(Clone)]
+pub(crate) struct EpisodeState {
+    policy: AgentPolicy,
+    reward: RewardTracker,
+    rng: Rng,
+    failure_penalty: f64,
+    /// Decision epoch `t` within the episode (== TD updates applied).
+    t: u64,
+    /// Activations that have completed successfully this episode.
+    done: Vec<bool>,
+    /// Scratch: idle VM indices, rebuilt by each [`Self::decide`].
+    idle: Vec<usize>,
+    /// Rows of the activations still pending — the successor state's
+    /// action rows — rebuilt by each [`Self::observe`].
+    pending: Vec<usize>,
+}
+
+impl EpisodeState {
+    /// State for episodes of `n_activations` under `config`; call
+    /// [`Self::begin`] before each one.
+    pub(crate) fn new(n_activations: usize, config: &ReassignConfig) -> wfcommon::Result<Self> {
+        Ok(Self {
+            policy: match config.epsilon_convention {
+                EpsilonConvention::Paper => {
+                    AgentPolicy::Paper(PaperEpsilonGreedy::new(config.epsilon))
+                }
+                EpsilonConvention::Textbook => {
+                    AgentPolicy::Textbook(EpsilonGreedy::new(config.epsilon))
+                }
+            },
+            reward: RewardTracker::new(config.mu, config.rho)?,
+            rng: SeedDerivation::new(config.seed).rng_for("reassign-exploration", 0),
+            failure_penalty: config.failure_penalty,
+            t: 0,
+            done: vec![false; n_activations],
+            idle: Vec::new(),
+            pending: Vec::new(),
+        })
+    }
+
+    /// Algorithm 2's outer-loop reset (`t ← 1`, `r^t ← 0`) for the
+    /// given 0-based `episode`: the exploration stream is re-derived
+    /// from the master seed and the episode index — so any worker
+    /// starting episode `e` draws exactly the stream the serial learner
+    /// would — and ε is re-read from the schedule, when there is one.
+    pub(crate) fn begin(&mut self, config: &ReassignConfig, episode: u32) {
+        self.rng = SeedDerivation::new(config.seed).rng_for("reassign-exploration", episode as u64);
+        if let Some(schedule) = &config.epsilon_schedule {
+            self.policy.set_epsilon(schedule.at(episode as u64).clamp(0.0, 1.0));
+        }
+        self.reward.reset();
+        self.t = 0;
+        self.done.iter_mut().for_each(|d| *d = false);
+    }
+
+    /// The smoothed reward `r^t` right now.
+    pub(crate) fn reward(&self) -> f64 {
+        self.reward.current()
+    }
+
+    /// The exploration ε this episode runs with.
+    pub(crate) fn epsilon(&self) -> f64 {
+        self.policy.epsilon()
+    }
+
+    /// TD updates applied so far this episode.
+    pub(crate) fn td_updates(&self) -> u64 {
+        self.t
+    }
+
+    /// ReASSIgN "receives a list of activations available for
+    /// execution, but not yet scheduled" and handles them in order: the
+    /// first ready activation goes to a VM chosen among the idle ones
+    /// by the ε-policy over `q_of(row, vm)`.
+    fn decide(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        q_of: impl Fn(usize, usize) -> f64,
+    ) -> Decision {
+        let Some(&ac) = ctx.ready.first() else {
+            return Decision::DoNothing;
+        };
+        if ctx.idle_slots.is_empty() {
+            return Decision::DoNothing;
+        }
+        let row = ac.index();
+        self.idle.clear();
+        self.idle.extend(ctx.idle_slots.iter().map(|&(vm, _)| vm.index()));
+        let choice = self.policy.select(&self.idle, &|a| q_of(row, a), &mut self.rng);
+        Decision::Assign { activation: ac, vm: VmId::from_index(choice) }
+    }
+
+    /// Fold one completion in: smoothed reward `r^t`, minus the failure
+    /// cost for a failed attempt (transient failure, timeout, crash
+    /// orphan — worth strictly less than any success on the same
+    /// state); a success marks its activation done. Leaves the
+    /// successor rows in `self.pending` and returns `(r^t, t)` for the
+    /// caller's TD step, with the epoch already advanced.
+    fn observe(&mut self, info: &CompletionInfo, history: &ExecHistory) -> (f64, u64) {
+        let mut r_t = self.reward.observe(history, info.vm);
+        if info.failed {
+            r_t -= self.failure_penalty;
+        } else {
+            self.done[info.activation.index()] = true;
+        }
+        self.pending.clear();
+        self.pending.extend(self.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)));
+        let t = self.t;
+        self.t += 1;
+        (r_t, t)
+    }
 }
 
 /// Value-function backend: which TD update maintains the table(s).
@@ -76,38 +222,17 @@ impl Backend {
 /// The TD rule itself is pluggable ([`RlAlgorithm`]): the paper's
 /// Q-learning, double Q-learning, or Expected SARSA.
 ///
-/// Agents are `Clone`: a parallel learner snapshots one agent per
-/// rollout, so the clones share the round-start value tables but
-/// explore independently (each rollout reseeds its RNG streams via
-/// [`Self::begin_episode_at`]).
+/// Agents are `Clone`: a clone started on episode `e` with
+/// [`Self::begin_episode_at`] reproduces what the original would do —
+/// the reference the delta rollouts are tested against.
 #[derive(Clone)]
 pub struct ReassignScheduler {
     config: ReassignConfig,
     backend: Backend,
-    policy: AgentPolicy,
-    reward: RewardTracker,
-    rng: Rng,
-    /// Decision epoch `t` within the current episode.
-    t: u64,
+    state: EpisodeState,
     /// Episode counter (advanced by [`Self::begin_episode`]).
     episode: u32,
-    /// Activations that have completed successfully this episode.
-    done: Vec<bool>,
     name: String,
-    /// When set, every TD update is also captured as a [`Transition`]
-    /// so a batched learner can replay it into a shared table.
-    record_transitions: bool,
-    /// Captured updates of the current episode (in decision order).
-    transitions: Vec<Transition>,
-    /// `(vm, te, tf)` of every completion observed this episode, in
-    /// order — mirrors the engine's `ExecHistory::record` calls so a
-    /// parallel learner can rebuild the carried history exactly.
-    episode_samples: Vec<(VmId, f64, f64)>,
-    /// Scratch: idle VM indices rebuilt each [`Scheduler::decide`] call
-    /// (capacity persists across the episode — no steady-state allocs).
-    idle_scratch: Vec<usize>,
-    /// Scratch: pending state rows rebuilt each completion.
-    pending_scratch: Vec<usize>,
 }
 
 impl ReassignScheduler {
@@ -160,26 +285,10 @@ impl ReassignScheduler {
         };
         Ok(Self {
             backend,
-            policy: match config.epsilon_convention {
-                EpsilonConvention::Paper => {
-                    AgentPolicy::Paper(PaperEpsilonGreedy::new(config.epsilon))
-                }
-                EpsilonConvention::Textbook => {
-                    AgentPolicy::Textbook(EpsilonGreedy::new(config.epsilon))
-                }
-            },
-            reward: RewardTracker::new(config.mu, config.rho)?,
-            rng: seeds.rng_for("reassign-exploration", 0),
-            t: 0,
+            state: EpisodeState::new(n_activations, &config)?,
             episode: 0,
-            done: vec![false; n_activations],
             name: config.label(),
             config,
-            record_transitions: false,
-            transitions: Vec::new(),
-            episode_samples: Vec::new(),
-            idle_scratch: Vec::new(),
-            pending_scratch: Vec::new(),
         })
     }
 
@@ -194,27 +303,12 @@ impl ReassignScheduler {
     /// Start the given (0-based) `episode`. The exploration and
     /// double-Q RNG streams are re-derived from the master seed and the
     /// episode index, so an agent *cloned* at any point and started on
-    /// episode `e` draws exactly the stream the original would — the
-    /// property that makes parallel rollouts bitwise-reproducible.
+    /// episode `e` draws exactly the stream the original would.
     pub fn begin_episode_at(&mut self, episode: u32) {
-        let seeds = SeedDerivation::new(self.config.seed);
-        self.rng = seeds.rng_for("reassign-exploration", episode as u64);
+        self.state.begin(&self.config, episode);
         if let Backend::Double { rng, .. } = &mut self.backend {
-            *rng = seeds.rng_for("reassign-doubleq", episode as u64);
-        }
-        self.t = 0;
-        self.reward.reset();
-        self.done.iter_mut().for_each(|d| *d = false);
-        self.transitions.clear();
-        self.episode_samples.clear();
-        // Annealed exploration: re-derive this episode's ε from the
-        // schedule (episode counter is 0-based at schedule time).
-        if let Some(schedule) = &self.config.epsilon_schedule {
-            let eps = schedule.at(episode as u64).clamp(0.0, 1.0);
-            match &mut self.policy {
-                AgentPolicy::Paper(p) => p.epsilon = eps,
-                AgentPolicy::Textbook(p) => p.epsilon = eps,
-            }
+            *rng =
+                SeedDerivation::new(self.config.seed).rng_for("reassign-doubleq", episode as u64);
         }
         self.episode = episode + 1;
     }
@@ -231,6 +325,26 @@ impl ReassignScheduler {
         match &self.backend {
             Backend::Q { table, .. } | Backend::Sarsa { table, .. } => table,
             Backend::Double { learner, .. } => &learner.qa,
+        }
+    }
+
+    /// Give up the agent for its Q-table (the one [`Self::q_table`]
+    /// borrows), without copying it.
+    pub fn into_q_table(self) -> DenseQTable {
+        match self.backend {
+            Backend::Q { table, .. } | Backend::Sarsa { table, .. } => table,
+            Backend::Double { learner, .. } => learner.qa,
+        }
+    }
+
+    /// The table and learner a delta rollout reads, for the backend
+    /// whose TD step a flat additive buffer can represent
+    /// ([`RlAlgorithm::QLearning`]); `None` for the coupled backends,
+    /// which bootstrap through a second table or a policy expectation.
+    pub(crate) fn q_backend(&self) -> Option<(&DenseQTable, &QLearner)> {
+        match &self.backend {
+            Backend::Q { table, learner } => Some((table, learner)),
+            _ => None,
         }
     }
 
@@ -329,35 +443,24 @@ impl ReassignScheduler {
 
     /// The smoothed reward `r^t` right now.
     pub fn current_reward(&self) -> f64 {
-        self.reward.current()
+        self.state.reward()
     }
 
     /// The exploration ε currently in force (after any schedule
     /// annealing applied by [`Self::begin_episode_at`]).
     pub fn current_epsilon(&self) -> f64 {
-        match &self.policy {
-            AgentPolicy::Paper(p) => p.epsilon,
-            AgentPolicy::Textbook(p) => p.epsilon,
-        }
+        self.state.epsilon()
     }
 
     /// TD updates applied so far this episode (the decision-epoch
     /// counter `t`; one update fires per observed completion).
     pub fn td_updates_this_episode(&self) -> u64 {
-        self.t
+        self.state.td_updates()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ReassignConfig {
         &self.config
-    }
-
-    /// Rows of activations still pending this episode (the successor
-    /// state's action rows). The learning paths rebuild this into a
-    /// reusable scratch buffer instead; kept for test assertions.
-    #[cfg(test)]
-    fn pending_rows(&self) -> Vec<usize> {
-        self.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)).collect()
     }
 
     /// Extract the greedy plan: for each activation, the argmax VM.
@@ -372,112 +475,9 @@ impl ReassignScheduler {
         plan
     }
 
-    /// Completion hook carrying the history the engine maintains.
-    /// Computes `r^t` and applies the TD update for `(ac, vm)`.
-    pub fn observe_completion(&mut self, info: &CompletionInfo, history: &wfsim::ExecHistory) {
-        let mut r_t = self.reward.observe(history, info.vm);
-        // Failure cost: a failed attempt (transient failure, timeout,
-        // crash orphan) is worth strictly less than any success on the
-        // same state. Applied before the transition is captured so the
-        // parallel learner replays the penalized reward bit-exactly.
-        if info.failed {
-            r_t -= self.config.failure_penalty;
-        }
-        if !info.failed {
-            self.done[info.activation.index()] = true;
-        }
-        let s = info.activation.index();
-        let a = info.vm.index();
-        // Split-borrow: the pending scratch is rebuilt in place (its
-        // capacity survives the episode) while the backend is updated.
-        let Self {
-            backend,
-            done,
-            t,
-            record_transitions,
-            transitions,
-            episode_samples,
-            pending_scratch: pending,
-            ..
-        } = self;
-        pending.clear();
-        pending.extend(done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)));
-        if *record_transitions {
-            // Mirror the engine's history bookkeeping (te = exec, tf =
-            // queue — recorded for failures too) and the TD step. The
-            // `pending` clone is confined to this capture path; the
-            // delta-buffer rollouts never turn it on.
-            episode_samples.push((info.vm, info.exec_secs, info.queue_secs));
-            transitions.push(Transition { s, a, reward: r_t, t: *t, pending: pending.clone() });
-        }
-        match backend {
-            Backend::Q { table, learner } => {
-                let next_best = pending
-                    .iter()
-                    .map(|&i| table.max_over(i, None))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let next_best = if next_best == f64::NEG_INFINITY { 0.0 } else { next_best };
-                learner.update(table, s, a, r_t, next_best, *t);
-            }
-            Backend::Double { learner, rng } => {
-                learner.update(s, a, r_t, pending, *t, rng);
-            }
-            Backend::Sarsa { table, learner } => {
-                learner.update(table, s, a, r_t, pending, *t);
-            }
-        }
-        self.t += 1;
-    }
-
-    /// Toggle per-episode transition/sample capture (off by default;
-    /// the parallel learner switches it on in its rollout clones).
-    pub fn set_record_transitions(&mut self, record: bool) {
-        self.record_transitions = record;
-    }
-
-    /// Drain the TD updates captured this episode (in decision order).
-    pub fn take_transitions(&mut self) -> Vec<Transition> {
-        std::mem::take(&mut self.transitions)
-    }
-
-    /// Drain the `(vm, te, tf)` completion samples captured this
-    /// episode, in the order the engine recorded them.
-    pub fn take_samples(&mut self) -> Vec<(VmId, f64, f64)> {
-        std::mem::take(&mut self.episode_samples)
-    }
-
-    /// Replay a batch of recorded transitions from `episode` into this
-    /// agent's value state, in order. Each update bootstraps against
-    /// the tables as they stand mid-replay, so replaying a rollout's
-    /// batch onto the table it started from reproduces its learning
-    /// bitwise; replaying onto a table that already absorbed earlier
-    /// rollouts blends them deterministically. For double Q-learning
-    /// the coin-flip stream is re-derived from `episode`, giving the
-    /// replay the exact flips the rollout consumed.
-    pub fn apply_transitions(&mut self, episode: u32, batch: &[Transition]) {
-        match &mut self.backend {
-            Backend::Q { table, learner } => {
-                learner.apply_transitions(table, batch);
-            }
-            Backend::Double { learner, .. } => {
-                let mut rng = SeedDerivation::new(self.config.seed)
-                    .rng_for("reassign-doubleq", episode as u64);
-                for tr in batch {
-                    learner.update(tr.s, tr.a, tr.reward, &tr.pending, tr.t, &mut rng);
-                }
-            }
-            Backend::Sarsa { table, learner } => {
-                for tr in batch {
-                    learner.update(table, tr.s, tr.a, tr.reward, &tr.pending, tr.t);
-                }
-            }
-        }
-    }
-
     /// Fold a rollout's flat TD-increment buffer into the behaviour
-    /// table (`Q[i] += delta[i]`, row-major) — the parallel learner's
-    /// merge step for [`RlAlgorithm::QLearning`]. The other backends
-    /// merge by transition replay ([`Self::apply_transitions`]).
+    /// table (`Q[i] += delta[i]`, row-major) — how a delta rollout's
+    /// learning is merged. [`RlAlgorithm::QLearning`] only.
     pub fn apply_q_delta(&mut self, delta: &[f64]) -> wfcommon::Result<()> {
         match &mut self.backend {
             Backend::Q { table, .. } => {
@@ -497,94 +497,70 @@ impl Scheduler for ReassignScheduler {
     }
 
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
-        // ReASSIgN "receives a list of activations available for
-        // execution, but not yet scheduled" and handles them in order.
-        let Some(&ac) = ctx.ready.first() else {
-            return Decision::DoNothing;
-        };
-        if ctx.idle_slots.is_empty() {
-            return Decision::DoNothing;
-        }
-        let row = ac.index();
-        // Split-borrow: the idle scratch is rebuilt in place each call
-        // (keeping its capacity) alongside the policy/RNG state.
-        let Self { backend, policy, rng, idle_scratch, .. } = self;
-        idle_scratch.clear();
-        idle_scratch.extend(ctx.idle_slots.iter().map(|&(vm, _)| vm.index()));
-        let choice = {
-            let q_of = |a: usize| backend.value(row, a);
-            match policy {
-                AgentPolicy::Paper(p) => p.select(idle_scratch, &q_of, rng),
-                AgentPolicy::Textbook(p) => p.select(idle_scratch, &q_of, rng),
+        let Self { backend, state, .. } = self;
+        state.decide(ctx, |row, a| backend.value(row, a))
+    }
+
+    /// Compute `r^t` and apply the TD update for `(ac, vm)`.
+    fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
+        let (r_t, t) = self.state.observe(info, history);
+        let (s, a) = (info.activation.index(), info.vm.index());
+        let pending = &self.state.pending;
+        match &mut self.backend {
+            Backend::Q { table, learner } => {
+                let next_best = table.max_over_rows(pending, None);
+                learner.update(table, s, a, r_t, next_best, t);
             }
-        };
-        Decision::Assign { activation: ac, vm: VmId::from_index(choice) }
+            Backend::Double { learner, rng } => {
+                learner.update(s, a, r_t, pending, t, rng);
+            }
+            Backend::Sarsa { table, learner } => {
+                learner.update(table, s, a, r_t, pending, t);
+            }
+        }
     }
-
-    fn on_completion(&mut self, info: &CompletionInfo, history: &wfsim::ExecHistory) {
-        self.observe_completion(info, history);
-    }
-
-    fn on_episode_end(&mut self, _result: &SimResult) {}
 }
 
-/// A zero-clone parallel rollout worker for the Q-learning backend.
+/// One episode of Q-learning that leaves the shared table untouched.
 ///
-/// Instead of cloning the shared agent (the whole Q matrix plus all
-/// per-episode vectors) and capturing every TD step as an owned
-/// [`Transition`], a delta rollout reads the shared table through a
-/// `base + delta` overlay and accumulates its TD increments directly
-/// into a flat row-major `f64` buffer the caller owns:
+/// A delta rollout reads the table through a `base + delta` overlay and
+/// accumulates its TD increments into a flat row-major `f64` buffer:
 ///
 /// * read:    `Q(s, a) = base[s·cols + a] + delta[s·cols + a]`
 /// * TD step: `delta[s·cols + a] += α · (r + γ_t · next_best − Q(s, a))`
 ///
-/// A cell updated once per episode (the common case: each activation
-/// completes once) ends the episode with bitwise the value a
-/// cloned-table rollout would compute; a cell updated more than once in
-/// one episode (retries after failures) can differ in the last ulps
-/// because the old merge *replayed* transitions — re-bootstrapping
-/// against the merged table — while the delta merge is a pure dense
-/// add. The coordinator folds finished buffers into the shared table
-/// with [`ReassignScheduler::apply_q_delta`] in episode order, keeping
-/// the learner deterministic and worker-count invariant.
+/// so several rollouts can explore from one round-start table at once
+/// and the coordinator folds the finished buffers in with
+/// [`ReassignScheduler::apply_q_delta`], in episode order. A cell
+/// updated once per episode (the common case: each activation completes
+/// once) ends the episode with bitwise the value an in-place agent
+/// would compute; a cell updated more than once in one episode (retries
+/// after failures) can differ in the last ulps, because the in-place
+/// update adds to the cell while the overlay adds to its increment.
 ///
-/// All mutable state is borrowed from the caller's round scratch-pad,
-/// so a steady-state rollout performs no allocations of its own.
+/// All mutable state is borrowed from the caller's persistent slot, so
+/// a steady-state rollout performs no allocations of its own.
 pub(crate) struct DeltaRollout<'a> {
     base: &'a DenseQTable,
+    learner: &'a QLearner,
     delta: &'a mut [f64],
-    cols: usize,
-    policy: AgentPolicy,
-    reward: RewardTracker,
-    rng: Rng,
-    learner: QLearner,
-    failure_penalty: f64,
-    /// Decision epoch `t` within the episode (== TD updates applied).
-    t: u64,
-    done: &'a mut Vec<bool>,
-    pending: &'a mut Vec<usize>,
-    idle: &'a mut Vec<usize>,
-    samples: &'a mut Vec<(VmId, f64, f64)>,
+    state: &'a mut EpisodeState,
+    /// Every completion observed, in engine order — what the
+    /// coordinator replays into the carried history at merge time.
+    samples: &'a mut Vec<Sample>,
 }
 
 impl<'a> DeltaRollout<'a> {
-    /// Build the worker for one episode, mirroring
-    /// [`ReassignScheduler::begin_episode_at`] exactly: per-episode
-    /// exploration stream, schedule-annealed ε, fresh reward state.
-    /// Clears (but never shrinks) every scratch buffer handed in.
-    #[allow(clippy::too_many_arguments)] // plain scratch-pad plumbing
-    pub(crate) fn for_episode(
+    /// Set the borrowed buffers up for `episode` against the shared
+    /// agent's `(table, learner)`. Clears (never shrinks) `samples`.
+    pub(crate) fn begin(
         config: &ReassignConfig,
-        base: &'a DenseQTable,
         episode: u32,
+        (base, learner): (&'a DenseQTable, &'a QLearner),
         delta: &'a mut [f64],
-        done: &'a mut Vec<bool>,
-        pending: &'a mut Vec<usize>,
-        idle: &'a mut Vec<usize>,
-        samples: &'a mut Vec<(VmId, f64, f64)>,
-    ) -> wfcommon::Result<Self> {
-        debug_assert!(matches!(config.algorithm, RlAlgorithm::QLearning));
+        state: &'a mut EpisodeState,
+        samples: &'a mut Vec<Sample>,
+    ) -> Self {
         assert_eq!(
             delta.len(),
             base.rows() * base.cols(),
@@ -592,58 +568,10 @@ impl<'a> DeltaRollout<'a> {
             delta.len(),
             base.rows() * base.cols()
         );
-        let mut epsilon = config.epsilon;
-        if let Some(schedule) = &config.epsilon_schedule {
-            epsilon = schedule.at(episode as u64).clamp(0.0, 1.0);
-        }
-        let policy = match config.epsilon_convention {
-            EpsilonConvention::Paper => AgentPolicy::Paper(PaperEpsilonGreedy::new(epsilon)),
-            EpsilonConvention::Textbook => AgentPolicy::Textbook(EpsilonGreedy::new(epsilon)),
-        };
-        let learner = QLearner::new(QLearnerConfig {
-            alpha: config.alpha,
-            gamma: config.gamma,
-            discount_power_t: config.discount_power_t,
-        })?;
         delta.fill(0.0);
-        done.clear();
-        done.resize(base.rows(), false);
-        pending.clear();
-        idle.clear();
+        state.begin(config, episode);
         samples.clear();
-        Ok(Self {
-            cols: base.cols(),
-            base,
-            delta,
-            policy,
-            reward: RewardTracker::new(config.mu, config.rho)?,
-            rng: SeedDerivation::new(config.seed).rng_for("reassign-exploration", episode as u64),
-            learner,
-            failure_penalty: config.failure_penalty,
-            t: 0,
-            done,
-            pending,
-            idle,
-            samples,
-        })
-    }
-
-    /// The smoothed reward `r^t` at the end of the episode.
-    pub(crate) fn final_reward(&self) -> f64 {
-        self.reward.current()
-    }
-
-    /// The exploration ε this episode ran with.
-    pub(crate) fn epsilon(&self) -> f64 {
-        match &self.policy {
-            AgentPolicy::Paper(p) => p.epsilon,
-            AgentPolicy::Textbook(p) => p.epsilon,
-        }
-    }
-
-    /// TD updates accumulated into the delta buffer.
-    pub(crate) fn td_updates(&self) -> u64 {
-        self.t
+        Self { base, learner, delta, state, samples }
     }
 }
 
@@ -653,64 +581,21 @@ impl Scheduler for DeltaRollout<'_> {
     }
 
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
-        let Some(&ac) = ctx.ready.first() else {
-            return Decision::DoNothing;
-        };
-        if ctx.idle_slots.is_empty() {
-            return Decision::DoNothing;
-        }
-        let row = ac.index();
-        let Self { base, delta, cols, policy, rng, idle, .. } = self;
-        idle.clear();
-        idle.extend(ctx.idle_slots.iter().map(|&(vm, _)| vm.index()));
-        let choice = {
-            let off = row * *cols;
-            let q_of = |a: usize| base.get(row, a) + delta[off + a];
-            match policy {
-                AgentPolicy::Paper(p) => p.select(idle, &q_of, rng),
-                AgentPolicy::Textbook(p) => p.select(idle, &q_of, rng),
-            }
-        };
-        Decision::Assign { activation: ac, vm: VmId::from_index(choice) }
+        let Self { base, delta, state, .. } = self;
+        let cols = base.cols();
+        state.decide(ctx, |row, a| base.get(row, a) + delta[row * cols + a])
     }
 
-    fn on_completion(&mut self, info: &CompletionInfo, history: &wfsim::ExecHistory) {
-        let mut r_t = self.reward.observe(history, info.vm);
-        if info.failed {
-            r_t -= self.failure_penalty;
-        }
-        if !info.failed {
-            self.done[info.activation.index()] = true;
-        }
-        let s = info.activation.index();
-        let a = info.vm.index();
+    fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
+        let (r_t, t) = self.state.observe(info, history);
         self.samples.push((info.vm, info.exec_secs, info.queue_secs));
-        let Self { base, delta, cols, learner, t, done, pending, .. } = self;
-        pending.clear();
-        pending.extend(done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)));
-        let cols = *cols;
-        // max over the pending rows of the base+delta overlay, with the
-        // same fold structure (and NEG_INFINITY → 0.0 terminal
-        // convention) as the serial backend's bootstrap.
-        let next_best = pending
-            .iter()
-            .map(|&i| {
-                let off = i * cols;
-                base.row(i)
-                    .iter()
-                    .enumerate()
-                    .map(|(col, &v)| v + delta[off + col])
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        let next_best = if next_best == f64::NEG_INFINITY { 0.0 } else { next_best };
-        let idx = s * cols + a;
-        let td = r_t + learner.discount_at(*t) * next_best - (base.get(s, a) + delta[idx]);
-        delta[idx] += learner.config().alpha * td;
-        *t += 1;
+        let (s, a) = (info.activation.index(), info.vm.index());
+        let next_best = self.base.max_over_rows(&self.state.pending, Some(&*self.delta));
+        let idx = s * self.base.cols() + a;
+        let td =
+            r_t + self.learner.discount_at(t) * next_best - (self.base.get(s, a) + self.delta[idx]);
+        self.delta[idx] += self.learner.config().alpha * td;
     }
-
-    fn on_episode_end(&mut self, _result: &SimResult) {}
 }
 
 #[cfg(test)]
@@ -719,6 +604,13 @@ mod tests {
     use cloud::Fleet;
     use wfsim::SimConfig;
     use workflow::montage50::montage50;
+
+    impl ReassignScheduler {
+        /// Rows of activations still pending this episode.
+        fn pending_rows(&self) -> Vec<usize> {
+            self.state.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)).collect()
+        }
+    }
 
     fn agent_with(algorithm: RlAlgorithm) -> ReassignScheduler {
         let cfg = ReassignConfig { algorithm, episodes: 1, ..ReassignConfig::default() };
@@ -782,23 +674,37 @@ mod tests {
         };
         let mut agent = ReassignScheduler::new(10, 3, cfg).unwrap();
         agent.begin_episode(); // episode 0 → ε = 0.0
-        let eps0 = match &agent.policy {
-            AgentPolicy::Paper(p) => p.epsilon,
-            AgentPolicy::Textbook(p) => p.epsilon,
-        };
+        let eps0 = agent.state.policy.epsilon();
         assert_eq!(eps0, 0.0);
         for _ in 0..5 {
             agent.begin_episode();
         }
-        let eps5 = match &agent.policy {
-            AgentPolicy::Paper(p) => p.epsilon,
-            AgentPolicy::Textbook(p) => p.epsilon,
-        };
+        let eps5 = agent.state.policy.epsilon();
         assert!((eps5 - 0.5).abs() < 1e-9, "eps {eps5}");
     }
 
-    /// Run episode 3 once through a cloned agent (the historical
-    /// rollout path) and once through a [`DeltaRollout`] over the same
+    /// An agent plus a log of the `(vm, te, tf)` it was shown, to check
+    /// a delta rollout's history samples against.
+    struct Recording<'a> {
+        agent: &'a mut ReassignScheduler,
+        samples: Vec<Sample>,
+    }
+
+    impl Scheduler for Recording<'_> {
+        fn name(&self) -> &str {
+            self.agent.name()
+        }
+        fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
+            self.agent.decide(ctx)
+        }
+        fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
+            self.samples.push((info.vm, info.exec_secs, info.queue_secs));
+            self.agent.on_completion(info, history);
+        }
+    }
+
+    /// Run episode 3 once through a cloned agent (the in-place
+    /// reference) and once through a [`DeltaRollout`] over the same
     /// base table, under identical seeds, and compare.
     fn compare_delta_vs_clone(cfg: ReassignConfig, sim: &SimConfig, bitwise: bool) {
         let wf = montage50();
@@ -809,38 +715,36 @@ mod tests {
         let episode_seeds = || SeedDerivation::new(seeds.seed_for("episode", episode as u64));
 
         let mut cloned = agent.clone();
-        cloned.set_record_transitions(true);
         cloned.begin_episode_at(episode);
+        let mut recording = Recording { agent: &mut cloned, samples: Vec::new() };
         let clone_result =
-            wfsim::simulate(&wf, &fleet, &mut cloned, sim, episode_seeds(), None).unwrap();
+            wfsim::simulate(&wf, &fleet, &mut recording, sim, episode_seeds(), None).unwrap();
+        let clone_samples = recording.samples;
 
         let mut delta = vec![0.0f64; wf.len() * fleet.len()];
-        let (mut done, mut pending, mut idle, mut samples) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let mut worker = DeltaRollout::for_episode(
+        let mut state = EpisodeState::new(wf.len(), &cfg).unwrap();
+        let mut samples = Vec::new();
+        let mut worker = DeltaRollout::begin(
             &cfg,
-            agent.q_table(),
             episode,
+            agent.q_backend().unwrap(),
             &mut delta,
-            &mut done,
-            &mut pending,
-            &mut idle,
+            &mut state,
             &mut samples,
-        )
-        .unwrap();
+        );
         let delta_result =
             wfsim::simulate(&wf, &fleet, &mut worker, sim, episode_seeds(), None).unwrap();
 
         assert_eq!(delta_result.plan, clone_result.plan, "same decisions, same plan");
         assert_eq!(delta_result.records, clone_result.records);
-        assert_eq!(worker.td_updates(), cloned.td_updates_this_episode());
-        assert_eq!(worker.epsilon(), cloned.current_epsilon());
+        assert_eq!(state.td_updates(), cloned.td_updates_this_episode());
+        assert_eq!(state.epsilon(), cloned.current_epsilon());
         assert_eq!(
-            worker.final_reward().to_bits(),
+            state.reward().to_bits(),
             cloned.current_reward().to_bits(),
             "smoothed reward must be reproduced exactly"
         );
-        assert_eq!(samples, cloned.take_samples(), "history samples in engine order");
+        assert_eq!(samples, clone_samples, "history samples in engine order");
         let (base, learned) = (agent.q_table(), cloned.q_table());
         for s in 0..base.rows() {
             for a in 0..base.cols() {
@@ -912,10 +816,10 @@ mod tests {
     fn pending_rows_shrink_as_work_completes() {
         let mut agent = agent_with(RlAlgorithm::QLearning);
         assert_eq!(agent.pending_rows().len(), 50);
-        agent.done[0] = true;
-        agent.done[7] = true;
+        agent.state.done[0] = true;
+        agent.state.done[7] = true;
         assert_eq!(agent.pending_rows().len(), 48);
-        agent.done.iter_mut().for_each(|d| *d = true);
+        agent.state.done.iter_mut().for_each(|d| *d = true);
         assert!(agent.pending_rows().is_empty());
     }
 }

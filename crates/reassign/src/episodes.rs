@@ -1,8 +1,8 @@
 //! The episodic learning loop (paper Algorithm 2 outer loop + §III-D
 //! two-stage architecture).
 //!
-//! `learn` runs `maxIter` complete simulated executions (episodes) of
-//! the workflow with a single persistent [`ReassignScheduler`], logs
+//! [`LearnRun`] runs `maxIter` complete simulated executions (episodes)
+//! of the workflow with a single persistent [`ReassignScheduler`], logs
 //! every episode to the provenance store, and returns:
 //!
 //! * the **greedy plan** — the policy encoded by the final Q matrix
@@ -13,14 +13,25 @@
 //!   deployment choice);
 //! * the full makespan learning curve and the wall-clock **learning
 //!   time** (Table II's measurement).
+//!
+//! There is one loop. It advances in **rounds** of `rollouts` episodes:
+//! a round of one episode runs on the shared agent, in place; a round
+//! of several runs them side by side from the round-start Q-table as
+//! delta rollouts (module `parallel`) and merges them in episode
+//! order. Every episode of either kind is folded into the run by the
+//! same `Ledger::absorb` step, so the serial learner *is* the
+//! `rollouts = 1` case rather than a second implementation of it.
 
-use crate::agent::ReassignScheduler;
-use crate::config::ReassignConfig;
+use crate::agent::{ReassignScheduler, Sample};
+use crate::config::{ReassignConfig, RlAlgorithm};
+use crate::parallel::Slots;
 use crate::replication::ReplHeadTrainer;
 use crate::telemetry::LearnTelemetry;
 use cloud::{Fleet, ReplicationPolicy};
 use obs::{TraceEvent, Tracer};
 use provenance::{ActivationProv, EpisodeKey, EpisodeRecord, ProvenanceStore};
+use qlearn::DenseQTable;
+use std::time::Instant;
 use wfcommon::ids::Idx;
 use wfcommon::{EpisodeId, Error, Result, SeedDerivation, SimTime};
 use wfsim::{
@@ -67,76 +78,6 @@ pub struct LearnOutcome {
     pub repl_policy: Option<ReplicationPolicy>,
 }
 
-/// Run the full ReASSIgN learning process, warm-starting the Q-table
-/// from a demonstration plan (typically HEFT's) before the first
-/// episode. See [`crate::agent::ReassignScheduler::warm_start`].
-pub fn learn_with_demonstration(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    demonstration: &Plan,
-    provenance: Option<&mut ProvenanceStore>,
-) -> Result<LearnOutcome> {
-    learn_inner(
-        workflow,
-        fleet,
-        fleet_label,
-        config,
-        sim_config,
-        Some(demonstration),
-        None,
-        provenance,
-        &mut Tracer::disabled(),
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// Run the full ReASSIgN learning process.
-///
-/// `fleet_label` names the fleet in provenance keys (e.g. `16vcpus`).
-/// Pass `provenance: None` to skip logging.
-pub fn learn(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    provenance: Option<&mut ProvenanceStore>,
-) -> Result<LearnOutcome> {
-    learn_inner(
-        workflow,
-        fleet,
-        fleet_label,
-        config,
-        sim_config,
-        None,
-        None,
-        provenance,
-        &mut Tracer::disabled(),
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`learn`] with a structured-event tracer attached: emits a `header`
-/// line, per-episode `episode_start`/`episode_end` learning telemetry,
-/// the full simulator event stream of every episode in between, and a
-/// final `learn_end` summary. See `obs::TraceEvent` for the schema.
-pub fn learn_traced(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    provenance: Option<&mut ProvenanceStore>,
-    tracer: &mut Tracer<'_>,
-) -> Result<LearnOutcome> {
-    tracer.emit_with(|| TraceEvent::Header { producer: "reassign.learn" });
-    learn_inner(workflow, fleet, fleet_label, config, sim_config, None, None, provenance, tracer)
-        .map(|(outcome, _)| outcome)
-}
-
 /// A [`LearnOutcome`] plus the final behaviour Q-table, for callers
 /// that carry tables across runs — the scheduling service's per-shard
 /// warm-start cache (`crates/svc`).
@@ -146,31 +87,303 @@ pub struct TunedOutcome {
     pub outcome: LearnOutcome,
     /// The behaviour Q-table after the last episode — reinsert it into
     /// a cache to warm-start the next run of the same family/shape.
-    pub q_table: qlearn::DenseQTable,
+    pub q_table: DenseQTable,
 }
 
-/// Run the learning loop, optionally warm-starting the Q-table from a
-/// previously learned table (`warm_q`), and return the final table for
-/// caching. This is the scheduling service's fine-tune entry point: a
-/// cache hit passes the cached table plus a reduced episode budget.
+/// One ReASSIgN learning run: what to learn, on what, and how.
 ///
-/// Unlike [`learn`], this path never touches provenance — no Q-snapshot
-/// serialization happens — and unlike [`learn_traced`] it emits no
-/// `header` line (the caller owns the enclosing trace). `warm_q` must
-/// match the workflow/fleet shape or the call errors.
+/// Start from [`LearnRun::new`] (the paper's serial learner from a
+/// fresh table), set the optional fields, and call [`LearnRun::run`].
+pub struct LearnRun<'a> {
+    /// The workflow to schedule.
+    pub workflow: &'a Workflow,
+    /// The VMs to schedule it on.
+    pub fleet: &'a Fleet,
+    /// Names the fleet in provenance keys (e.g. `16vcpus`).
+    pub fleet_label: &'a str,
+    /// Learner hyper-parameters, episode budget and master seed.
+    pub config: &'a ReassignConfig,
+    /// The simulated environment every episode runs in.
+    pub sim_config: &'a SimConfig,
+    /// Episodes explored side by side per round (≥ 1). At 1 each
+    /// episode explores with the table its predecessor left — the
+    /// paper's Algorithm 2. At `K ≥ 2` the `K` episodes of a round all
+    /// start from the round-start table and carried history and are
+    /// merged in episode order: a different (still deterministic,
+    /// worker-count-invariant) result, bought for wall-clock on a
+    /// multi-core host. Only Q-learning can run a round that way; the
+    /// coupled backends (`DoubleQ`, `ExpectedSarsa`) run every round as
+    /// a single episode whatever this says.
+    pub rollouts: u32,
+    /// Warm-start the Q-table from a demonstration plan (typically
+    /// HEFT's) before the first episode; see
+    /// [`ReassignScheduler::warm_start`].
+    pub demonstration: Option<&'a Plan>,
+    /// Start from a previously learned table (must match the
+    /// workflow × fleet shape) — the scheduling service's fine-tune.
+    pub warm_q: Option<&'a DenseQTable>,
+    /// Where to log every episode and persist the Q snapshot; a stored
+    /// snapshot under the run's key is loaded first (paper §III-C).
+    pub provenance: Option<&'a mut ProvenanceStore>,
+}
+
+impl<'a> LearnRun<'a> {
+    /// `rollouts = 1`, no demonstration, no warm table, no provenance.
+    pub fn new(
+        workflow: &'a Workflow,
+        fleet: &'a Fleet,
+        fleet_label: &'a str,
+        config: &'a ReassignConfig,
+        sim_config: &'a SimConfig,
+    ) -> Self {
+        Self {
+            workflow,
+            fleet,
+            fleet_label,
+            config,
+            sim_config,
+            rollouts: 1,
+            demonstration: None,
+            warm_q: None,
+            provenance: None,
+        }
+    }
+
+    /// Episodes per round: `rollouts` where a delta rollout can run
+    /// them (the Q-learning backend), otherwise 1.
+    fn width(&self) -> u32 {
+        match self.config.algorithm {
+            RlAlgorithm::QLearning => self.rollouts,
+            RlAlgorithm::DoubleQ | RlAlgorithm::ExpectedSarsa => 1,
+        }
+    }
+
+    /// The `header` line that opens a stand-alone trace of this run.
+    /// [`Self::run`] never writes it: a caller that embeds the run in a
+    /// larger trace (the service) owns the enclosing header.
+    pub fn header(&self) -> TraceEvent<'static> {
+        TraceEvent::Header {
+            producer: if self.width() > 1 { "reassign.learn_parallel" } else { "reassign.learn" },
+        }
+    }
+
+    /// Run the learning loop. Into `tracer` go per-episode
+    /// `episode_start`/`episode_end` learning telemetry with the full
+    /// simulator event stream of the episode in between, a
+    /// `round_merge` line per round when rounds hold several episodes,
+    /// and a final `learn_end` summary (see `obs::TraceEvent`). The
+    /// trace, like the outcome, is a pure function of this struct:
+    /// side-by-side episodes buffer their events and are replayed in
+    /// episode order.
+    pub fn run(self, tracer: &mut Tracer<'_>) -> Result<TunedOutcome> {
+        let width = self.width();
+        let Self {
+            workflow,
+            fleet,
+            fleet_label,
+            config,
+            sim_config,
+            rollouts,
+            demonstration,
+            warm_q,
+            provenance,
+        } = self;
+        config.validate()?;
+        sim_config.validate()?;
+        if rollouts == 0 {
+            return Err(Error::Config("rollouts must be ≥ 1".into()));
+        }
+
+        let key = EpisodeKey::new(workflow.name.clone(), fleet_label, config.label());
+        let mut agent = ReassignScheduler::new(workflow.len(), fleet.len(), *config)?;
+        if let Some(demo) = demonstration {
+            agent.warm_start(demo)?;
+        }
+        if let Some(json) = provenance.as_deref().and_then(|store| store.q_snapshot(&key)) {
+            agent.load_q_snapshot(json)?;
+        }
+        if let Some(q) = warm_q {
+            agent.load_q_table(q.clone())?;
+        }
+
+        let cache = WorkflowCache::new(workflow)?;
+        let env = EpisodeEnv { workflow, cache: &cache, fleet, config };
+        let mut ledger = Ledger {
+            key,
+            provenance,
+            episodes: Vec::with_capacity(config.episodes as usize),
+            best: None,
+            history: config.carry_history.then(|| ExecHistory::new(fleet.len())),
+            telemetry: LearnTelemetry::new(),
+            repl_trainer: ReplHeadTrainer::new(&sim_config.replication, config.failure_penalty),
+        };
+        let mut slots = Slots::default();
+        let mut arena = SimArena::new();
+        let mut episode_sim = sim_config.clone();
+
+        // Opt-in wall-clock phases: time spent running episodes vs.
+        // folding them in (for side-by-side rounds: waiting on the
+        // fan-out vs. the sequential merge).
+        let (mut run_secs, mut merge_secs) = (0.0f64, 0.0f64);
+        let started = Instant::now();
+        let mut round = 0u32;
+        let mut ep = 0u32;
+        while ep < config.episodes {
+            let k = width.min(config.episodes - ep);
+            // Every episode of a round runs under the round-start
+            // replication head, as under the round-start Q-table; the
+            // trainer only learns in absorb order.
+            if ledger.repl_trainer.is_active() {
+                episode_sim.replication = ledger.repl_trainer.policy_next();
+            }
+            let t0 = tracer.phase_start();
+            let history = ledger.history.as_ref();
+            // One TD update and one history sample per completion.
+            let completions = if k == 1 {
+                let episode = run_serial_episode(
+                    &env,
+                    &mut agent,
+                    &episode_sim,
+                    ep,
+                    &mut arena,
+                    history,
+                    tracer,
+                )?;
+                let t0 = lap(t0, &mut run_secs);
+                let td_updates = episode.td_updates;
+                ledger.absorb(episode, None);
+                lap(t0, &mut merge_secs);
+                td_updates
+            } else {
+                slots.run_round(
+                    &env,
+                    &agent,
+                    &episode_sim,
+                    ep..ep + k,
+                    history,
+                    tracer.enabled(),
+                )?;
+                let t0 = lap(t0, &mut run_secs);
+                let completions = slots.merge_round(k, &mut agent, &mut ledger, tracer)?;
+                lap(t0, &mut merge_secs);
+                completions
+            };
+            if width > 1 {
+                tracer.emit_with(|| TraceEvent::RoundMerge {
+                    round,
+                    episodes: k,
+                    transitions: completions,
+                    samples: completions,
+                });
+            }
+            round += 1;
+            ep += k;
+        }
+        let learning_wall_secs = started.elapsed().as_secs_f64();
+        if width > 1 {
+            tracer.emit_phase_secs("learn.rollouts", run_secs);
+            tracer.emit_phase_secs("learn.merge", merge_secs);
+        } else {
+            tracer.emit_phase_secs("learn.episodes", run_secs + merge_secs);
+        }
+
+        let finalize_t0 = tracer.phase_start();
+        // Greedy replay evaluates under the final trained head, and the
+        // outcome carries it for deployment.
+        if ledger.repl_trainer.is_active() {
+            episode_sim.replication = ledger.repl_trainer.policy();
+        }
+        let outcome = ledger.finish(&env, &episode_sim, &agent, learning_wall_secs)?;
+        tracer.emit_phase("learn.finalize", finalize_t0);
+        // No wall-clock in the *default* trace: traces must stay
+        // seed-deterministic. The `phase` events above are opt-in
+        // (`Tracer::with_timing`) and event-level diffs skip them.
+        tracer.emit_with(|| TraceEvent::LearnEnd {
+            episodes: config.episodes,
+            greedy_makespan_secs: outcome.greedy_makespan.as_secs(),
+            best_makespan_secs: outcome.best_episode_makespan.as_secs(),
+        });
+        Ok(TunedOutcome { outcome, q_table: agent.into_q_table() })
+    }
+}
+
+/// With phase timing on (`t0` is `Some`), add the time since `t0` to
+/// `acc` and restart the clock.
+fn lap(t0: Option<Instant>, acc: &mut f64) -> Option<Instant> {
+    t0.map(|t0| {
+        let now = Instant::now();
+        *acc += (now - t0).as_secs_f64();
+        now
+    })
+}
+
+/// [`LearnRun::new`] with `provenance`, run untraced. Kept for the
+/// benchmark harness; retires with the next benchmark revision.
+pub fn learn(
+    workflow: &Workflow,
+    fleet: &Fleet,
+    fleet_label: &str,
+    config: &ReassignConfig,
+    sim_config: &SimConfig,
+    provenance: Option<&mut ProvenanceStore>,
+) -> Result<LearnOutcome> {
+    LearnRun { provenance, ..LearnRun::new(workflow, fleet, fleet_label, config, sim_config) }
+        .run(&mut Tracer::disabled())
+        .map(|tuned| tuned.outcome)
+}
+
+/// [`LearnRun::new`] with `provenance`, run as a stand-alone trace: the
+/// run's [`LearnRun::header`], then the run. Kept for the benchmark
+/// harness; retires with the next benchmark revision.
+pub fn learn_traced(
+    workflow: &Workflow,
+    fleet: &Fleet,
+    fleet_label: &str,
+    config: &ReassignConfig,
+    sim_config: &SimConfig,
+    provenance: Option<&mut ProvenanceStore>,
+    tracer: &mut Tracer<'_>,
+) -> Result<LearnOutcome> {
+    let run =
+        LearnRun { provenance, ..LearnRun::new(workflow, fleet, fleet_label, config, sim_config) };
+    tracer.emit_with(|| run.header());
+    run.run(tracer).map(|tuned| tuned.outcome)
+}
+
+/// [`LearnRun::new`] with `warm_q`, run inside the caller's trace (no
+/// `header` line). Kept for the benchmark harness; retires with the
+/// next benchmark revision.
 pub fn learn_tuned(
     workflow: &Workflow,
     fleet: &Fleet,
     fleet_label: &str,
     config: &ReassignConfig,
     sim_config: &SimConfig,
-    warm_q: Option<&qlearn::DenseQTable>,
+    warm_q: Option<&DenseQTable>,
     tracer: &mut Tracer<'_>,
 ) -> Result<TunedOutcome> {
-    let (outcome, agent) =
-        learn_inner(workflow, fleet, fleet_label, config, sim_config, None, warm_q, None, tracer)?;
-    let q_table = agent.q_table().clone();
-    Ok(TunedOutcome { outcome, q_table })
+    LearnRun { warm_q, ..LearnRun::new(workflow, fleet, fleet_label, config, sim_config) }
+        .run(tracer)
+}
+
+/// What stays fixed across the episodes of one run.
+pub(crate) struct EpisodeEnv<'a> {
+    pub(crate) workflow: &'a Workflow,
+    pub(crate) cache: &'a WorkflowCache,
+    pub(crate) fleet: &'a Fleet,
+    pub(crate) config: &'a ReassignConfig,
+}
+
+impl EpisodeEnv<'_> {
+    /// Streams derived from the run's master seed.
+    fn seeds(&self) -> SeedDerivation {
+        SeedDerivation::new(self.config.seed)
+    }
+
+    /// The simulator's seed streams for episode `ep`.
+    pub(crate) fn episode_seeds(&self, ep: u32) -> SeedDerivation {
+        SeedDerivation::new(self.seeds().seed_for("episode", ep as u64))
+    }
 }
 
 /// Flattened Q values in row-major order (for before/after deltas).
@@ -178,264 +391,184 @@ pub(crate) fn q_values(agent: &ReassignScheduler) -> Vec<f64> {
     agent.q_table().as_flat().to_vec()
 }
 
-/// L1 distance between two Q snapshots — the per-episode `q_delta`.
-pub(crate) fn q_l1_delta(before: &[f64], after: &[f64]) -> f64 {
-    before.iter().zip(after).map(|(a, b)| (a - b).abs()).sum()
+/// A finished episode, as either path reports it.
+pub(crate) struct Episode {
+    pub(crate) ep: u32,
+    pub(crate) result: SimResult,
+    /// Smoothed reward `r^t` at episode end.
+    pub(crate) final_reward: f64,
+    pub(crate) td_updates: u64,
 }
 
-/// One learning episode against the shared agent, with full tracing:
-/// `episode_start`, the live simulator event stream, and `episode_end`
-/// (with the Q-table's L1 movement across the episode). This is the
-/// serial loop body, also driven directly by the parallel learner for
-/// single-rollout rounds — which is what makes `rollouts = 1` bitwise
-/// identical to the serial learner for every backend, by construction.
-///
-/// Returns `(result, final_reward, td_updates)`; all other bookkeeping
-/// (telemetry, provenance, history carry, best tracking) stays with the
-/// caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serial_episode(
-    workflow: &Workflow,
-    cache: &WorkflowCache,
-    fleet: &Fleet,
+/// `episode_end` for `episode`, with the L1 distance the Q-table moved
+/// from `q_before` — the per-episode `q_delta`.
+pub(crate) fn emit_episode_end(
+    tracer: &mut Tracer<'_>,
+    episode: &Episode,
+    q_before: &[f64],
+    agent: &ReassignScheduler,
+) {
+    let q_delta = q_before.iter().zip(agent.q_table().as_flat()).map(|(a, b)| (a - b).abs()).sum();
+    tracer.emit(&TraceEvent::EpisodeEnd {
+        episode: episode.ep,
+        makespan_secs: episode.result.makespan.as_secs(),
+        success: episode.result.success,
+        reward: episode.final_reward,
+        td_updates: episode.td_updates,
+        q_delta,
+    });
+}
+
+/// One learning episode on the shared agent, in place, with full
+/// tracing: `episode_start`, the live simulator event stream, and
+/// `episode_end`.
+fn run_serial_episode(
+    env: &EpisodeEnv<'_>,
     agent: &mut ReassignScheduler,
     sim_config: &SimConfig,
-    seeds: &SeedDerivation,
     ep: u32,
     arena: &mut SimArena,
     carried_history: Option<&ExecHistory>,
     tracer: &mut Tracer<'_>,
-) -> Result<(SimResult, f64, u64)> {
+) -> Result<Episode> {
     agent.begin_episode_at(ep);
     tracer.emit_with(|| TraceEvent::EpisodeStart { episode: ep, epsilon: agent.current_epsilon() });
     let q_before = tracer.enabled().then(|| q_values(agent));
-    let episode_seeds = SeedDerivation::new(seeds.seed_for("episode", ep as u64));
     let result = simulate_cached_traced(
-        workflow,
-        cache,
-        fleet,
+        env.workflow,
+        env.cache,
+        env.fleet,
         agent,
         sim_config,
-        episode_seeds,
+        env.episode_seeds(ep),
         carried_history,
         arena,
         tracer,
     )?;
-    let final_reward = agent.current_reward();
-    let td_updates = agent.td_updates_this_episode();
+    let episode = Episode {
+        ep,
+        result,
+        final_reward: agent.current_reward(),
+        td_updates: agent.td_updates_this_episode(),
+    };
     if let Some(before) = q_before {
-        let q_delta = q_l1_delta(&before, &q_values(agent));
-        tracer.emit(&TraceEvent::EpisodeEnd {
-            episode: ep,
-            makespan_secs: result.makespan.as_secs(),
-            success: result.success,
-            reward: final_reward,
-            td_updates,
-            q_delta,
-        });
+        emit_episode_end(tracer, &episode, &before, agent);
     }
-    Ok((result, final_reward, td_updates))
+    Ok(episode)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn learn_inner(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    demonstration: Option<&Plan>,
-    warm_q: Option<&qlearn::DenseQTable>,
-    mut provenance: Option<&mut ProvenanceStore>,
-    tracer: &mut Tracer<'_>,
-) -> Result<(LearnOutcome, ReassignScheduler)> {
-    config.validate()?;
-    sim_config.validate()?;
-    let (key, mut agent) =
-        setup_agent(workflow, fleet, fleet_label, config, demonstration, &mut provenance)?;
-    if let Some(q) = warm_q {
-        agent.load_q_table(q.clone())?;
-    }
+/// The bookkeeping of one run — what every finished episode, however
+/// it was run, is folded into.
+pub(crate) struct Ledger<'p> {
+    key: EpisodeKey,
+    provenance: Option<&'p mut ProvenanceStore>,
+    episodes: Vec<EpisodeStats>,
+    best: Option<(Plan, SimTime)>,
+    /// The execution history episodes start from (`carry_history`).
+    history: Option<ExecHistory>,
+    telemetry: LearnTelemetry,
+    /// Learned replication head: each round runs under the trainer's
+    /// exploration table (prior first, then trust-region neighbors) and
+    /// its realised decisions are folded back in by [`Self::absorb`] (a
+    /// no-op unless the run was configured `Learned`).
+    repl_trainer: ReplHeadTrainer,
+}
 
-    let seeds = SeedDerivation::new(config.seed);
-    let cache = WorkflowCache::new(workflow)?;
-    let mut arena = SimArena::new();
-    let started = std::time::Instant::now();
-    let mut episodes = Vec::with_capacity(config.episodes as usize);
-    let mut best: Option<(Plan, SimTime)> = None;
-    let mut carried_history: Option<ExecHistory> = None;
-    let mut telemetry = LearnTelemetry::new();
-    // Learned replication head: each episode runs under the trainer's
-    // exploration table (prior first, then trust-region neighbors),
-    // then its realised decisions are folded back in (a no-op unless
-    // the run was configured `Learned`).
-    let mut repl_trainer = ReplHeadTrainer::new(&sim_config.replication, config.failure_penalty);
-    let mut episode_sim = sim_config.clone();
-
-    let episodes_t0 = tracer.phase_start();
-    for ep in 0..config.episodes {
-        if repl_trainer.is_active() {
-            episode_sim.replication = repl_trainer.policy_next();
-        }
-        let (result, final_reward, td_updates) = run_serial_episode(
-            workflow,
-            &cache,
-            fleet,
-            &mut agent,
-            &episode_sim,
-            &seeds,
-            ep,
-            &mut arena,
-            carried_history.as_ref(),
-            tracer,
-        )?;
-        repl_trainer.observe(&result.repl_decisions);
-        telemetry.record_episode(&result, td_updates);
-        episodes.push(EpisodeStats {
+impl Ledger<'_> {
+    /// Fold `episode` in: replication-head evidence, telemetry,
+    /// learning curve, provenance, carried history, best plan.
+    ///
+    /// `samples` says how the episode relates to the carried history. An
+    /// episode that ran alone (`None`) was seeded with it, so its
+    /// result's history *is* the new carried history and moves back in.
+    /// One that ran beside others from the same seed history brings the
+    /// completions it observed, to be appended in absorb order.
+    pub(crate) fn absorb(&mut self, episode: Episode, samples: Option<&[Sample]>) {
+        let Episode { ep, result, final_reward, td_updates } = episode;
+        self.repl_trainer.observe(&result.repl_decisions);
+        self.telemetry.record_episode(&result, td_updates);
+        self.episodes.push(EpisodeStats {
             episode: ep,
             makespan: result.makespan,
             success: result.success,
             final_reward,
         });
-        if let Some(store) = provenance.as_deref_mut() {
-            store.log_episode(episode_record(&key, ep, &result, final_reward));
+        if let Some(store) = self.provenance.as_deref_mut() {
+            store.log_episode(episode_record(&self.key, ep, &result, final_reward));
         }
         // Destructure the result so the history and plan move out
         // instead of being cloned once per episode.
         let SimResult { makespan, success, plan, history, .. } = result;
-        if config.carry_history {
-            carried_history = Some(history);
-        }
-        if success {
-            let better = match &best {
-                None => true,
-                Some((_, m)) => makespan < *m,
-            };
-            if better {
-                best = Some((plan, makespan));
+        if let Some(carried) = self.history.as_mut() {
+            match samples {
+                None => *carried = history,
+                Some(samples) => {
+                    samples.iter().for_each(|&(vm, te, tf)| carried.record(vm, te, tf));
+                }
             }
         }
-    }
-    let learning_wall_secs = started.elapsed().as_secs_f64();
-    tracer.emit_phase("learn.episodes", episodes_t0);
-
-    let finalize_t0 = tracer.phase_start();
-    // Greedy replay evaluates under the final trained head, and the
-    // outcome carries it for deployment.
-    if repl_trainer.is_active() {
-        episode_sim.replication = repl_trainer.policy();
-    }
-    let mut outcome = finalize(
-        workflow,
-        fleet,
-        &episode_sim,
-        seeds,
-        &agent,
-        provenance,
-        best,
-        episodes,
-        learning_wall_secs,
-        key,
-        telemetry,
-    )?;
-    outcome.repl_policy = repl_trainer.is_active().then(|| episode_sim.replication.clone());
-    tracer.emit_phase("learn.finalize", finalize_t0);
-    // No wall-clock in the *default* trace: traces must stay
-    // seed-deterministic. The `phase` events above are opt-in
-    // (`Tracer::with_timing`) and event-level diffs skip them.
-    tracer.emit_with(|| TraceEvent::LearnEnd {
-        episodes: config.episodes,
-        greedy_makespan_secs: outcome.greedy_makespan.as_secs(),
-        best_makespan_secs: outcome.best_episode_makespan.as_secs(),
-    });
-    Ok((outcome, agent))
-}
-
-/// Build the agent for one learning run: key derivation, construction,
-/// optional demonstration warm-start, optional Q-snapshot resume from
-/// provenance (paper §III-C: previous-episode information is loaded at
-/// start). Shared between the serial and parallel learners.
-pub(crate) fn setup_agent(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    demonstration: Option<&Plan>,
-    provenance: &mut Option<&mut ProvenanceStore>,
-) -> Result<(EpisodeKey, ReassignScheduler)> {
-    let key = EpisodeKey::new(workflow.name.clone(), fleet_label, config.label());
-    let mut agent = ReassignScheduler::new(workflow.len(), fleet.len(), *config)?;
-    if let Some(demo) = demonstration {
-        agent.warm_start(demo)?;
-    }
-    if let Some(store) = provenance.as_deref_mut() {
-        if let Some(json) = store.q_snapshot(&key) {
-            agent.load_q_snapshot(json)?;
+        if success && self.best.as_ref().is_none_or(|(_, m)| makespan < *m) {
+            self.best = Some((plan, makespan));
         }
     }
-    Ok((key, agent))
+
+    /// Post-loop work: extract + validate + replay the greedy plan
+    /// (deterministically, with fluctuation disabled) under
+    /// `sim_config`, persist the Q snapshot, assemble the outcome.
+    fn finish(
+        self,
+        env: &EpisodeEnv<'_>,
+        sim_config: &SimConfig,
+        agent: &ReassignScheduler,
+        learning_wall_secs: f64,
+    ) -> Result<LearnOutcome> {
+        // The deployed artifact: the greedy policy the Q matrix encodes.
+        let greedy_plan = agent.greedy_plan();
+        greedy_plan.validate(env.workflow, env.fleet)?;
+        let mut replay = FixedPlanScheduler::new(greedy_plan.clone());
+        let greedy_result = simulate(
+            env.workflow,
+            env.fleet,
+            &mut replay,
+            &SimConfig { fluctuation: wfsim::FluctuationKind::None, ..sim_config.clone() },
+            SeedDerivation::new(env.seeds().seed_for("greedy-eval", 0)),
+            None,
+        )?;
+        // In a fault-free world an unsuccessful replay of a validated plan
+        // means the learner produced garbage — a hard error. With fault
+        // injection active, a pinned plan can legitimately fail (it cannot
+        // re-route around a blacklisted VM), so the failed replay is a
+        // measured outcome, not a learner bug; the makespan then reports
+        // how far the run got before giving up.
+        if !greedy_result.success && sim_config.faults.is_inert() {
+            return Err(Error::Simulation(
+                "greedy plan replay did not complete successfully".into(),
+            ));
+        }
+
+        if let Some(store) = self.provenance {
+            store.store_q_snapshot(&self.key, agent.q_snapshot_json()?);
+        }
+
+        let (best_episode_plan, best_episode_makespan) = self
+            .best
+            .ok_or_else(|| Error::Simulation("no episode finished successfully".into()))?;
+
+        Ok(LearnOutcome {
+            greedy_plan,
+            greedy_makespan: greedy_result.makespan,
+            best_episode_plan,
+            best_episode_makespan,
+            episodes: self.episodes,
+            learning_wall_secs,
+            key: self.key,
+            telemetry: self.telemetry,
+            repl_policy: self.repl_trainer.is_active().then(|| sim_config.replication.clone()),
+        })
+    }
 }
 
-/// Post-loop work shared between the serial and parallel learners:
-/// extract + validate + replay the greedy plan (deterministically, with
-/// fluctuation disabled), persist the Q snapshot, assemble the outcome.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    sim_config: &SimConfig,
-    seeds: SeedDerivation,
-    agent: &ReassignScheduler,
-    provenance: Option<&mut ProvenanceStore>,
-    best: Option<(Plan, SimTime)>,
-    episodes: Vec<EpisodeStats>,
-    learning_wall_secs: f64,
-    key: EpisodeKey,
-    telemetry: LearnTelemetry,
-) -> Result<LearnOutcome> {
-    // The deployed artifact: the greedy policy the Q matrix encodes.
-    let greedy_plan = agent.greedy_plan();
-    greedy_plan.validate(workflow, fleet)?;
-    let mut replay = FixedPlanScheduler::new(greedy_plan.clone());
-    let greedy_result = simulate(
-        workflow,
-        fleet,
-        &mut replay,
-        &SimConfig { fluctuation: wfsim::FluctuationKind::None, ..sim_config.clone() },
-        SeedDerivation::new(seeds.seed_for("greedy-eval", 0)),
-        None,
-    )?;
-    // In a fault-free world an unsuccessful replay of a validated plan
-    // means the learner produced garbage — a hard error. With fault
-    // injection active, a pinned plan can legitimately fail (it cannot
-    // re-route around a blacklisted VM), so the failed replay is a
-    // measured outcome, not a learner bug; the makespan then reports
-    // how far the run got before giving up.
-    if !greedy_result.success && sim_config.faults.is_inert() {
-        return Err(Error::Simulation("greedy plan replay did not complete successfully".into()));
-    }
-
-    if let Some(store) = provenance {
-        store.store_q_snapshot(&key, agent.q_snapshot_json()?);
-    }
-
-    let (best_episode_plan, best_episode_makespan) =
-        best.ok_or_else(|| Error::Simulation("no episode finished successfully".into()))?;
-
-    Ok(LearnOutcome {
-        greedy_plan,
-        greedy_makespan: greedy_result.makespan,
-        best_episode_plan,
-        best_episode_makespan,
-        episodes,
-        learning_wall_secs,
-        key,
-        telemetry,
-        repl_policy: None,
-    })
-}
-
-pub(crate) fn episode_record(
+fn episode_record(
     key: &EpisodeKey,
     ep: u32,
     result: &SimResult,

@@ -33,7 +33,7 @@
 pub mod agent;
 pub mod config;
 pub mod episodes;
-pub mod parallel;
+mod parallel;
 mod replication;
 pub mod reward;
 pub mod state;
@@ -42,10 +42,8 @@ pub mod telemetry;
 pub use agent::ReassignScheduler;
 pub use config::{EpsilonConvention, ReassignConfig, RlAlgorithm};
 pub use episodes::{
-    learn, learn_traced, learn_tuned, learn_with_demonstration, EpisodeStats, LearnOutcome,
-    TunedOutcome,
+    learn, learn_traced, learn_tuned, EpisodeStats, LearnOutcome, LearnRun, TunedOutcome,
 };
-pub use parallel::{learn_parallel, learn_parallel_traced, learn_parallel_with_demonstration};
 pub use reward::RewardTracker;
 pub use state::WorkflowState;
 pub use telemetry::LearnTelemetry;

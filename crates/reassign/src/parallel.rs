@@ -1,37 +1,27 @@
-//! Batched parallel learning: K exploration rollouts per round with a
-//! deterministic, vectorizable Q-merge.
+//! Side-by-side rounds: K exploration rollouts run on the rayon pool
+//! and merged deterministically.
 //!
-//! The serial learner ([`crate::episodes::learn`]) is inherently
+//! The learning loop ([`crate::episodes::LearnRun`]) is inherently
 //! sequential — episode `e+1` explores with the table episode `e`
-//! produced. This module trades a little of that freshness for
-//! wall-clock: each **round** launches `K` episodes on the rayon pool
-//! and folds the results back into the shared agent **in episode
-//! order**, so the outcome never depends on worker scheduling.
+//! produced. A round of `K ≥ 2` episodes trades a little of that
+//! freshness for wall-clock: the `K` episodes all start from the
+//! round-start table and carried history, and their results are folded
+//! back into the shared agent **in episode order**, so the outcome
+//! never depends on worker scheduling.
 //!
-//! # Execution paths
+//! Each worker drives one episode as a [`DeltaRollout`] in a persistent
+//! [`Slot`] (own [`SimArena`], trace buffer and scratch vectors)
+//! against a **read-only view** of the shared Q-table, reading values
+//! through a `base + delta` overlay and accumulating its TD increments
+//! into a flat `f64` buffer. The merge is a dense element-wise add
+//! ([`qlearn::DenseQTable::add_flat`]) per episode. Nothing per-agent
+//! is cloned and a steady-state round performs no rollout-side
+//! allocations.
 //!
-//! * **Single-episode rounds** (`rollouts = 1`, or the remainder round
-//!   when `episodes % rollouts != 0`) run *inline* on the shared agent
-//!   via [`crate::episodes::run_serial_episode`] — the exact serial
-//!   loop body. That makes `rollouts = 1` bitwise identical to the
-//!   serial learner for **every** backend by construction, with zero
-//!   cloning or buffering.
-//! * **Q-learning rounds with `K ≥ 2`** use zero-clone *delta
-//!   rollouts*: each worker drives one episode in a persistent round
-//!   slot (own [`SimArena`], trace buffer, and scratch vectors) against
-//!   a **read-only view** of the shared Q-table, reading values through
-//!   a `base + delta` overlay and accumulating its TD increments into a
-//!   flat `f64` buffer. The merge is then a dense element-wise add
-//!   ([`qlearn::DenseQTable::add_flat`]) applied in episode order — a
-//!   contiguous-slice loop the compiler can vectorize, instead of a
-//!   per-transition replay with a `max` scan over all pending rows per
-//!   step. Nothing per-agent is cloned and a steady-state round
-//!   performs no rollout-side allocations.
-//! * **Double-Q / Expected-SARSA rounds with `K ≥ 2`** keep the
-//!   transition-replay merge: their updates bootstrap through
-//!   cross-coupled tables (or a policy expectation), which a flat
-//!   additive buffer cannot represent. These rollouts still clone the
-//!   agent per episode.
+//! Only the Q-learning backend can run this way: the coupled backends
+//! bootstrap through a second table or a policy expectation, which a
+//! flat additive buffer cannot represent, so the loop gives them
+//! single-episode rounds only.
 //!
 //! # Determinism contract
 //!
@@ -40,64 +30,27 @@
 //!   number of rayon worker threads is irrelevant because rollouts
 //!   write to disjoint per-slot buffers and the merge order is the
 //!   episode order, not the completion order.
-//! * With `rollouts = 1` the round runs the serial loop body on the
-//!   shared agent, so the run is **bitwise identical to
-//!   [`crate::episodes::learn`]** — same greedy plan, same learning
-//!   curve, same Q snapshot, same trace events.
-//! * With `rollouts = K > 1` the K rollouts of a round share the
-//!   round-start table and carried history instead of chaining through
-//!   each other — a standard parallel-RL semantics change (results
-//!   differ from serial, but deterministically so). For the Q-learning
-//!   backend the delta merge additionally replaces the historical
-//!   transition *replay* merge: a Q-cell updated once per episode (the
-//!   common case — every activation completes exactly once when no
-//!   faults fire) merges to bitwise the same value, while a cell
-//!   updated multiple times within one episode (failure retries) can
-//!   differ in the last ulps, because replay re-bootstrapped each step
-//!   against the merged table while the delta merge is a pure add of
-//!   what the rollout actually learned. Both semantics are
-//!   deterministic; the delta form is also worker-count invariant and
-//!   O(cells) per episode instead of O(steps × pending × VMs).
+//! * The `K` rollouts of a round do not chain through each other — a
+//!   standard parallel-RL semantics change (results differ from
+//!   `rollouts = 1`, but deterministically so). A Q-cell updated once
+//!   per episode (the common case — every activation completes exactly
+//!   once when no faults fire) merges to bitwise the value an in-place
+//!   update would leave, while a cell updated several times within one
+//!   episode (failure retries) can differ in the last ulps; see
+//!   [`DeltaRollout`].
 
-use crate::agent::DeltaRollout;
-use crate::config::{ReassignConfig, RlAlgorithm};
-use crate::episodes::{
-    episode_record, finalize, q_l1_delta, q_values, run_serial_episode, setup_agent, EpisodeStats,
-    LearnOutcome,
-};
-use crate::replication::ReplHeadTrainer;
-use crate::telemetry::LearnTelemetry;
-use cloud::Fleet;
+use crate::agent::{DeltaRollout, EpisodeState, ReassignScheduler, Sample};
+use crate::episodes::{emit_episode_end, q_values, Episode, EpisodeEnv, Ledger};
 use obs::{MemSink, TraceEvent, Tracer};
-use provenance::ProvenanceStore;
-use qlearn::Transition;
 use rayon::prelude::*;
-use wfcommon::{Error, Result, SeedDerivation, SimTime, VmId};
-use wfsim::{simulate_cached_traced, ExecHistory, Plan, SimArena, SimConfig, SimResult};
-use workflow::{Workflow, WorkflowCache};
-
-/// Everything one clone-and-replay rollout brings back for the
-/// sequential merge (double-Q / Expected-SARSA path only).
-struct RolloutOut {
-    episode: u32,
-    transitions: Vec<Transition>,
-    samples: Vec<(VmId, f64, f64)>,
-    final_reward: f64,
-    result: SimResult,
-    /// The rollout's simulator trace, buffered as JSONL (empty when
-    /// tracing is disabled); replayed into the caller's sink in
-    /// episode order so parallel traces are deterministic.
-    lines: String,
-    /// ε in force during the rollout (for the `episode_start` line).
-    epsilon: f64,
-    /// TD updates the rollout applied.
-    td_updates: u64,
-}
+use std::ops::Range;
+use wfcommon::Result;
+use wfsim::{simulate_cached_traced, ExecHistory, SimArena, SimConfig};
 
 /// A persistent per-rollout workspace: slot `i` of a round always runs
-/// episode `round_start + i`, so merging `slots[0..k]` in slot order
-/// *is* episode order. Everything here survives across rounds —
-/// capacities grow to the episode's high-water mark once and are reused
+/// episode `round_start + i`, so merging the slots in order *is*
+/// episode order. Everything here survives across rounds — capacities
+/// grow to the episode's high-water mark once and are reused
 /// thereafter, which is what makes steady-state rounds allocation-free
 /// on the rollout side.
 struct Slot {
@@ -105,550 +58,127 @@ struct Slot {
     /// Flat row-major TD-increment buffer (`rows × cols` of the shared
     /// Q-table); zeroed at episode start, dense-added at merge.
     delta: Vec<f64>,
-    done: Vec<bool>,
-    pending: Vec<usize>,
-    idle: Vec<usize>,
-    samples: Vec<(VmId, f64, f64)>,
+    state: EpisodeState,
+    samples: Vec<Sample>,
     sink: MemSink,
     /// The rollout's outcome, parked here by the worker for the
     /// coordinator to collect (always `Some` after a round).
     out: Option<Result<SlotRun>>,
 }
 
-impl Slot {
-    fn new(cells: usize) -> Self {
-        Self {
-            arena: SimArena::new(),
-            delta: vec![0.0; cells],
-            done: Vec::new(),
-            pending: Vec::new(),
-            idle: Vec::new(),
-            samples: Vec::new(),
-            sink: MemSink::new(),
-            out: None,
-        }
-    }
-}
-
 /// What a delta rollout reports back (its TD increments live in the
 /// slot's `delta` buffer, its trace in the slot's `sink`).
 struct SlotRun {
-    episode: u32,
-    final_reward: f64,
+    episode: Episode,
+    /// The ε the rollout explored with (for its `episode_start` line).
     epsilon: f64,
-    td_updates: u64,
-    result: SimResult,
 }
 
-/// Drive one zero-clone episode inside `slot` against the read-only
-/// `base` table. On return the slot's `delta` holds the episode's TD
-/// increments, `samples` its completion history, and `sink` its trace.
-#[allow(clippy::too_many_arguments)]
-fn run_delta_rollout(
-    slot: &mut Slot,
-    episode: u32,
-    workflow: &Workflow,
-    cache: &WorkflowCache,
-    fleet: &Fleet,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    seeds: &SeedDerivation,
-    base: &qlearn::DenseQTable,
-    history_ref: Option<&ExecHistory>,
-    trace_enabled: bool,
-) -> Result<SlotRun> {
-    slot.sink.clear();
-    let Slot { arena, delta, done, pending, idle, samples, sink, .. } = slot;
-    let mut worker = DeltaRollout::for_episode(
-        config,
-        base,
-        episode,
-        delta.as_mut_slice(),
-        done,
-        pending,
-        idle,
-        samples,
-    )?;
-    let episode_seeds = SeedDerivation::new(seeds.seed_for("episode", episode as u64));
-    let result = {
-        let mut rollout_tracer = if trace_enabled { Tracer::new(sink) } else { Tracer::disabled() };
-        simulate_cached_traced(
-            workflow,
-            cache,
-            fleet,
+impl Slot {
+    /// Drive episode `ep` against the read-only shared `agent`. On return
+    /// `delta` holds the episode's TD increments, `samples` its
+    /// completion history, and `sink` its trace.
+    fn run(
+        &mut self,
+        env: &EpisodeEnv<'_>,
+        agent: &ReassignScheduler,
+        sim_config: &SimConfig,
+        ep: u32,
+        history: Option<&ExecHistory>,
+        trace_enabled: bool,
+    ) -> Result<SlotRun> {
+        self.sink.clear();
+        let Slot { arena, delta, state, samples, sink, .. } = self;
+        let backend = agent.q_backend().expect("side-by-side rounds are Q-learning only");
+        let mut worker = DeltaRollout::begin(env.config, ep, backend, delta, state, samples);
+        let mut tracer = if trace_enabled { Tracer::new(sink) } else { Tracer::disabled() };
+        let result = simulate_cached_traced(
+            env.workflow,
+            env.cache,
+            env.fleet,
             &mut worker,
             sim_config,
-            episode_seeds,
-            history_ref,
+            env.episode_seeds(ep),
+            history,
             arena,
-            &mut rollout_tracer,
-        )?
-    };
-    Ok(SlotRun {
-        episode,
-        final_reward: worker.final_reward(),
-        epsilon: worker.epsilon(),
-        td_updates: worker.td_updates(),
-        result,
-    })
-}
-
-/// [`crate::episodes::learn`] with `rollouts` episodes explored
-/// concurrently per round. See the module docs for the determinism
-/// contract; `rollouts = 1` reproduces the serial learner bitwise.
-pub fn learn_parallel(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    rollouts: u32,
-    provenance: Option<&mut ProvenanceStore>,
-) -> Result<LearnOutcome> {
-    learn_parallel_inner(
-        workflow,
-        fleet,
-        fleet_label,
-        config,
-        sim_config,
-        rollouts,
-        None,
-        provenance,
-        &mut Tracer::disabled(),
-    )
-}
-
-/// [`learn_parallel`] with a structured-event tracer attached. The
-/// trace is a pure function of `(config, sim_config, rollouts)`: each
-/// rollout buffers its simulator events in memory and the merge loop
-/// replays them in episode order, so worker scheduling never reorders
-/// lines. A `round_merge` line closes every round.
-#[allow(clippy::too_many_arguments)]
-pub fn learn_parallel_traced(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    rollouts: u32,
-    provenance: Option<&mut ProvenanceStore>,
-    tracer: &mut Tracer<'_>,
-) -> Result<LearnOutcome> {
-    tracer.emit_with(|| TraceEvent::Header { producer: "reassign.learn_parallel" });
-    learn_parallel_inner(
-        workflow,
-        fleet,
-        fleet_label,
-        config,
-        sim_config,
-        rollouts,
-        None,
-        provenance,
-        tracer,
-    )
-}
-
-/// [`learn_parallel`] with a demonstration warm-start (see
-/// [`crate::episodes::learn_with_demonstration`]).
-#[allow(clippy::too_many_arguments)]
-pub fn learn_parallel_with_demonstration(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    rollouts: u32,
-    demonstration: &Plan,
-    provenance: Option<&mut ProvenanceStore>,
-) -> Result<LearnOutcome> {
-    learn_parallel_inner(
-        workflow,
-        fleet,
-        fleet_label,
-        config,
-        sim_config,
-        rollouts,
-        Some(demonstration),
-        provenance,
-        &mut Tracer::disabled(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn learn_parallel_inner(
-    workflow: &Workflow,
-    fleet: &Fleet,
-    fleet_label: &str,
-    config: &ReassignConfig,
-    sim_config: &SimConfig,
-    rollouts: u32,
-    demonstration: Option<&Plan>,
-    mut provenance: Option<&mut ProvenanceStore>,
-    tracer: &mut Tracer<'_>,
-) -> Result<LearnOutcome> {
-    config.validate()?;
-    sim_config.validate()?;
-    if rollouts == 0 {
-        return Err(Error::Config("rollouts must be ≥ 1".into()));
-    }
-    let (key, mut agent) =
-        setup_agent(workflow, fleet, fleet_label, config, demonstration, &mut provenance)?;
-
-    let seeds = SeedDerivation::new(config.seed);
-    let cache = WorkflowCache::new(workflow)?;
-    let started = std::time::Instant::now();
-    let mut episodes = Vec::with_capacity(config.episodes as usize);
-    let mut best: Option<(Plan, SimTime)> = None;
-    // An empty history seed is indistinguishable from the serial
-    // learner's initial `None` — the engine starts from a fresh history
-    // either way.
-    let mut shared_history: Option<ExecHistory> =
-        config.carry_history.then(|| ExecHistory::new(fleet.len()));
-
-    let mut telemetry = LearnTelemetry::new();
-    let trace_enabled = tracer.enabled();
-    // Learned replication head. All K rollouts of a round share the
-    // round-start table (like the Q-table itself) and the trainer only
-    // updates in merge order, so the outcome stays worker-count
-    // invariant and `rollouts = 1` bitwise-serial.
-    let mut repl_trainer = ReplHeadTrainer::new(&sim_config.replication, config.failure_penalty);
-    let mut episode_sim = sim_config.clone();
-
-    // Round workspaces. The delta path (Q-learning, K ≥ 2) owns one
-    // persistent slot per concurrent rollout; the inline path reuses
-    // one coordinator arena; the legacy replay path reuses one index
-    // buffer for its order-preserving fan-out.
-    let delta_path = matches!(config.algorithm, RlAlgorithm::QLearning) && rollouts >= 2;
-    let cells = workflow.len() * fleet.len();
-    let mut slots: Vec<Slot> = if delta_path {
-        (0..rollouts.min(config.episodes) as usize).map(|_| Slot::new(cells)).collect()
-    } else {
-        Vec::new()
-    };
-    let mut inline_arena = SimArena::new();
-    let mut index_buf: Vec<u32> = Vec::new();
-
-    // Coordinator-level wall-clock phases (opt-in): time spent waiting
-    // on the rayon rollout fan-out vs. in the sequential merge. The
-    // per-rollout tracers deliberately do NOT inherit phase timing —
-    // worker-side `phase` lines would be replayed mid-stream and say
-    // nothing the coordinator totals don't.
-    let mut rollout_wall_secs = 0.0f64;
-    let mut merge_wall_secs = 0.0f64;
-    let mut round_no = 0u32;
-    let mut ep = 0u32;
-    while ep < config.episodes {
-        let k = rollouts.min(config.episodes - ep);
-        if repl_trainer.is_active() {
-            episode_sim.replication = repl_trainer.policy_next();
-        }
-        if k == 1 {
-            // Single-episode round: run the serial loop body directly
-            // on the shared agent — no clone, no buffering, and (for
-            // `rollouts = 1`) bitwise identity with the serial learner.
-            let rollout_t0 = tracer.phase_start();
-            let (result, final_reward, td_updates) = run_serial_episode(
-                workflow,
-                &cache,
-                fleet,
-                &mut agent,
-                &episode_sim,
-                &seeds,
+            &mut tracer,
+        )?;
+        Ok(SlotRun {
+            episode: Episode {
                 ep,
-                &mut inline_arena,
-                shared_history.as_ref(),
-                tracer,
-            )?;
-            repl_trainer.observe(&result.repl_decisions);
-            if let Some(t0) = rollout_t0 {
-                rollout_wall_secs += t0.elapsed().as_secs_f64();
-            }
-            let merge_t0 = tracer.phase_start();
-            telemetry.record_episode(&result, td_updates);
-            episodes.push(EpisodeStats {
-                episode: ep,
-                makespan: result.makespan,
-                success: result.success,
-                final_reward,
-            });
-            if let Some(store) = provenance.as_deref_mut() {
-                store.log_episode(episode_record(&key, ep, &result, final_reward));
-            }
-            let SimResult { makespan, success, plan, history, .. } = result;
-            if config.carry_history {
-                // The engine seeded this episode's history from the
-                // shared one, so the result *is* the shared history
-                // plus this episode's samples — move it back in.
-                shared_history = Some(history);
-            }
-            if success {
-                let better = match &best {
-                    None => true,
-                    Some((_, m)) => makespan < *m,
-                };
-                if better {
-                    best = Some((plan, makespan));
-                }
-            }
-            // One TD update per completion ⇒ the transition and sample
-            // counts a capturing rollout would report both equal the
-            // update count.
-            tracer.emit_with(|| TraceEvent::RoundMerge {
-                round: round_no,
-                episodes: 1,
-                transitions: td_updates,
-                samples: td_updates,
-            });
-            if let Some(t0) = merge_t0 {
-                merge_wall_secs += t0.elapsed().as_secs_f64();
-            }
-        } else if delta_path {
-            // Zero-clone fan-out: slot i runs episode ep + i against a
-            // read-only view of the shared table, accumulating TD
-            // increments into its flat delta buffer.
-            let rollout_t0 = tracer.phase_start();
-            {
-                let base = agent.q_table();
-                let history_ref = shared_history.as_ref();
-                let round_sim = &episode_sim;
-                slots[..k as usize].par_iter_mut().enumerate().for_each(|(i, slot)| {
-                    slot.out = Some(run_delta_rollout(
-                        slot,
-                        ep + i as u32,
-                        workflow,
-                        &cache,
-                        fleet,
-                        config,
-                        round_sim,
-                        &seeds,
-                        base,
-                        history_ref,
-                        trace_enabled,
-                    ));
-                });
-            }
-            if let Some(t0) = rollout_t0 {
-                rollout_wall_secs += t0.elapsed().as_secs_f64();
-            }
-            let merge_t0 = tracer.phase_start();
+                result,
+                final_reward: state.reward(),
+                td_updates: state.td_updates(),
+            },
+            epsilon: state.epsilon(),
+        })
+    }
+}
 
-            // Sequential deterministic merge, in episode (= slot) order:
-            // one dense add per rollout.
-            let mut round_transitions = 0u64;
-            let mut round_samples = 0u64;
-            for slot in &mut slots[..k as usize] {
-                let run = slot.out.take().expect("delta rollout always parks a result")?;
-                repl_trainer.observe(&run.result.repl_decisions);
-                tracer.emit_with(|| TraceEvent::EpisodeStart {
-                    episode: run.episode,
-                    epsilon: run.epsilon,
-                });
-                tracer.append_raw(slot.sink.as_str());
-                let q_before = trace_enabled.then(|| q_values(&agent));
-                agent.apply_q_delta(&slot.delta)?;
-                round_transitions += run.td_updates;
-                round_samples += slot.samples.len() as u64;
-                telemetry.record_episode(&run.result, run.td_updates);
-                if let Some(before) = q_before {
-                    let q_delta = q_l1_delta(&before, &q_values(&agent));
-                    tracer.emit(&TraceEvent::EpisodeEnd {
-                        episode: run.episode,
-                        makespan_secs: run.result.makespan.as_secs(),
-                        success: run.result.success,
-                        reward: run.final_reward,
-                        td_updates: run.td_updates,
-                        q_delta,
-                    });
-                }
-                if let Some(h) = shared_history.as_mut() {
-                    for &(vm, te, tf) in slot.samples.iter() {
-                        h.record(vm, te, tf);
-                    }
-                }
-                episodes.push(EpisodeStats {
-                    episode: run.episode,
-                    makespan: run.result.makespan,
-                    success: run.result.success,
-                    final_reward: run.final_reward,
-                });
-                if let Some(store) = provenance.as_deref_mut() {
-                    store.log_episode(episode_record(
-                        &key,
-                        run.episode,
-                        &run.result,
-                        run.final_reward,
-                    ));
-                }
-                let SimResult { makespan, success, plan, .. } = run.result;
-                if success {
-                    let better = match &best {
-                        None => true,
-                        Some((_, m)) => makespan < *m,
-                    };
-                    if better {
-                        best = Some((plan, makespan));
-                    }
-                }
-            }
-            tracer.emit_with(|| TraceEvent::RoundMerge {
-                round: round_no,
-                episodes: k,
-                transitions: round_transitions,
-                samples: round_samples,
-            });
-            if let Some(t0) = merge_t0 {
-                merge_wall_secs += t0.elapsed().as_secs_f64();
-            }
-        } else {
-            // Legacy clone + transition-replay fan-out for the
-            // cross-coupled backends (double-Q, Expected SARSA).
-            index_buf.clear();
-            index_buf.extend(ep..ep + k);
-            let shared = &agent;
-            let history_ref = shared_history.as_ref();
-            let round_sim = &episode_sim;
-            let rollout_t0 = tracer.phase_start();
-            // Order-preserving collect: round[i] is episode ep + i no
-            // matter which worker ran it or when it finished.
-            let round: Vec<Result<RolloutOut>> = index_buf
-                .par_iter()
-                .map_init(SimArena::new, |arena, &e| {
-                    let mut rollout = shared.clone();
-                    rollout.set_record_transitions(true);
-                    rollout.begin_episode_at(e);
-                    let episode_seeds = SeedDerivation::new(seeds.seed_for("episode", e as u64));
-                    let mut sink = MemSink::new();
-                    let result = {
-                        let mut rollout_tracer =
-                            if trace_enabled { Tracer::new(&mut sink) } else { Tracer::disabled() };
-                        simulate_cached_traced(
-                            workflow,
-                            &cache,
-                            fleet,
-                            &mut rollout,
-                            round_sim,
-                            episode_seeds,
-                            history_ref,
-                            arena,
-                            &mut rollout_tracer,
-                        )?
-                    };
-                    Ok(RolloutOut {
-                        episode: e,
-                        transitions: rollout.take_transitions(),
-                        samples: rollout.take_samples(),
-                        final_reward: rollout.current_reward(),
-                        result,
-                        lines: sink.take(),
-                        epsilon: rollout.current_epsilon(),
-                        td_updates: rollout.td_updates_this_episode(),
-                    })
-                })
-                .collect();
-            if let Some(t0) = rollout_t0 {
-                rollout_wall_secs += t0.elapsed().as_secs_f64();
-            }
-            let merge_t0 = tracer.phase_start();
+/// The round workspaces of one learning run, grown to the widest round
+/// on first use.
+#[derive(Default)]
+pub(crate) struct Slots(Vec<Slot>);
 
-            // Sequential deterministic merge, in episode order.
-            let mut round_transitions = 0u64;
-            let mut round_samples = 0u64;
-            for out in round {
-                let out = out?;
-                repl_trainer.observe(&out.result.repl_decisions);
-                tracer.emit_with(|| TraceEvent::EpisodeStart {
-                    episode: out.episode,
-                    epsilon: out.epsilon,
-                });
-                tracer.append_raw(&out.lines);
-                let q_before = trace_enabled.then(|| q_values(&agent));
-                agent.apply_transitions(out.episode, &out.transitions);
-                round_transitions += out.transitions.len() as u64;
-                round_samples += out.samples.len() as u64;
-                telemetry.record_episode(&out.result, out.td_updates);
-                if let Some(before) = q_before {
-                    let q_delta = q_l1_delta(&before, &q_values(&agent));
-                    tracer.emit(&TraceEvent::EpisodeEnd {
-                        episode: out.episode,
-                        makespan_secs: out.result.makespan.as_secs(),
-                        success: out.result.success,
-                        reward: out.final_reward,
-                        td_updates: out.td_updates,
-                        q_delta,
-                    });
-                }
-                if let Some(h) = shared_history.as_mut() {
-                    for &(vm, te, tf) in &out.samples {
-                        h.record(vm, te, tf);
-                    }
-                }
-                episodes.push(EpisodeStats {
-                    episode: out.episode,
-                    makespan: out.result.makespan,
-                    success: out.result.success,
-                    final_reward: out.final_reward,
-                });
-                if let Some(store) = provenance.as_deref_mut() {
-                    store.log_episode(episode_record(
-                        &key,
-                        out.episode,
-                        &out.result,
-                        out.final_reward,
-                    ));
-                }
-                let SimResult { makespan, success, plan, .. } = out.result;
-                if success {
-                    let better = match &best {
-                        None => true,
-                        Some((_, m)) => makespan < *m,
-                    };
-                    if better {
-                        best = Some((plan, makespan));
-                    }
-                }
-            }
-            tracer.emit_with(|| TraceEvent::RoundMerge {
-                round: round_no,
-                episodes: k,
-                transitions: round_transitions,
-                samples: round_samples,
+impl Slots {
+    /// Fan the `episodes` of one round out over the rayon pool, slot
+    /// `i` running the `i`-th. Results park in the slots for
+    /// [`Self::merge_round`].
+    pub(crate) fn run_round(
+        &mut self,
+        env: &EpisodeEnv<'_>,
+        agent: &ReassignScheduler,
+        sim_config: &SimConfig,
+        episodes: Range<u32>,
+        history: Option<&ExecHistory>,
+        trace_enabled: bool,
+    ) -> Result<()> {
+        while self.0.len() < episodes.len() {
+            self.0.push(Slot {
+                arena: SimArena::new(),
+                delta: vec![0.0; env.workflow.len() * env.fleet.len()],
+                state: EpisodeState::new(env.workflow.len(), env.config)?,
+                samples: Vec::new(),
+                sink: MemSink::new(),
+                out: None,
             });
-            if let Some(t0) = merge_t0 {
-                merge_wall_secs += t0.elapsed().as_secs_f64();
-            }
         }
-        round_no += 1;
-        ep += k;
-    }
-    let learning_wall_secs = started.elapsed().as_secs_f64();
-    if tracer.timing_enabled() {
-        tracer.emit_phase_secs("learn.rollouts", rollout_wall_secs);
-        tracer.emit_phase_secs("learn.merge", merge_wall_secs);
+        self.0[..episodes.len()].par_iter_mut().enumerate().for_each(|(i, slot)| {
+            let ep = episodes.start + i as u32;
+            slot.out = Some(slot.run(env, agent, sim_config, ep, history, trace_enabled));
+        });
+        Ok(())
     }
 
-    let finalize_t0 = tracer.phase_start();
-    if repl_trainer.is_active() {
-        episode_sim.replication = repl_trainer.policy();
+    /// Sequential deterministic merge of the first `k` slots, in
+    /// episode (= slot) order: replay the rollout's buffered trace
+    /// between its `episode_start`/`episode_end`, dense-add its TD
+    /// increments into `agent`, fold the episode into `ledger`. Returns
+    /// the round's completion count. The per-rollout tracers
+    /// deliberately do NOT inherit phase timing — worker-side `phase`
+    /// lines would be replayed mid-stream and say nothing the
+    /// coordinator totals don't.
+    pub(crate) fn merge_round(
+        &mut self,
+        k: u32,
+        agent: &mut ReassignScheduler,
+        ledger: &mut Ledger<'_>,
+        tracer: &mut Tracer<'_>,
+    ) -> Result<u64> {
+        let mut completions = 0u64;
+        for slot in &mut self.0[..k as usize] {
+            let SlotRun { episode, epsilon } =
+                slot.out.take().expect("delta rollout always parks a result")?;
+            tracer.emit_with(|| TraceEvent::EpisodeStart { episode: episode.ep, epsilon });
+            tracer.append_raw(slot.sink.as_str());
+            let q_before = tracer.enabled().then(|| q_values(agent));
+            agent.apply_q_delta(&slot.delta)?;
+            if let Some(before) = q_before {
+                emit_episode_end(tracer, &episode, &before, agent);
+            }
+            completions += episode.td_updates;
+            ledger.absorb(episode, Some(&slot.samples));
+        }
+        Ok(completions)
     }
-    let mut outcome = finalize(
-        workflow,
-        fleet,
-        &episode_sim,
-        seeds,
-        &agent,
-        provenance,
-        best,
-        episodes,
-        learning_wall_secs,
-        key,
-        telemetry,
-    )?;
-    outcome.repl_policy = repl_trainer.is_active().then(|| episode_sim.replication.clone());
-    tracer.emit_phase("learn.finalize", finalize_t0);
-    tracer.emit_with(|| TraceEvent::LearnEnd {
-        episodes: config.episodes,
-        greedy_makespan_secs: outcome.greedy_makespan.as_secs(),
-        best_makespan_secs: outcome.best_episode_makespan.as_secs(),
-    });
-    Ok(outcome)
 }

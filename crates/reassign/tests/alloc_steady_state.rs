@@ -19,7 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cloud::Fleet;
-use reassign::{learn, learn_parallel, ReassignConfig};
+use obs::Tracer;
+use reassign::{learn, LearnRun, ReassignConfig};
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
 
@@ -60,10 +61,15 @@ fn parallel_steady_state_rounds_allocate_no_more_than_serial() {
     let fleet = Fleet::paper_16_vcpus();
     let sim = SimConfig::deterministic();
     let cfg = |episodes: u32| ReassignConfig { episodes, ..ReassignConfig::default() };
+    let learn_4_rollouts = |episodes: u32| {
+        LearnRun { rollouts: 4, ..LearnRun::new(&wf, &fleet, "16vcpus", &cfg(episodes), &sim) }
+            .run(&mut Tracer::disabled())
+            .unwrap();
+    };
 
     // Warm everything one-time: rayon's global pool and thread stacks,
     // lazily grown scratch capacities, the workflow's interned strings.
-    learn_parallel(&wf, &fleet, "16vcpus", &cfg(8), &sim, 4, None).unwrap();
+    learn_4_rollouts(8);
     learn(&wf, &fleet, "16vcpus", &cfg(8), &sim, None).unwrap();
 
     let serial_short = allocs_during(|| {
@@ -72,12 +78,8 @@ fn parallel_steady_state_rounds_allocate_no_more_than_serial() {
     let serial_long = allocs_during(|| {
         learn(&wf, &fleet, "16vcpus", &cfg(16), &sim, None).unwrap();
     });
-    let par_short = allocs_during(|| {
-        learn_parallel(&wf, &fleet, "16vcpus", &cfg(8), &sim, 4, None).unwrap();
-    });
-    let par_long = allocs_during(|| {
-        learn_parallel(&wf, &fleet, "16vcpus", &cfg(16), &sim, 4, None).unwrap();
-    });
+    let par_short = allocs_during(|| learn_4_rollouts(8));
+    let par_long = allocs_during(|| learn_4_rollouts(16));
 
     // 8 extra episodes (2 extra K=4 rounds) each. The engine's inherent
     // per-episode allocations appear in both marginals; the rollout

@@ -2,8 +2,9 @@
 //! produces valid plans, and keeps its internals within bounds.
 
 use cloud::Fleet;
+use obs::Tracer;
 use proptest::prelude::*;
-use reassign::{learn, EpsilonConvention, ReassignConfig, RlAlgorithm};
+use reassign::{EpsilonConvention, LearnRun, ReassignConfig, RlAlgorithm};
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
 
@@ -19,8 +20,10 @@ fn every_algorithm_convention_combination_learns() {
                 epsilon_convention: convention,
                 ..ReassignConfig::default()
             };
-            let out = learn(&wf, &fleet, "matrix", &cfg, &SimConfig::default(), None)
-                .unwrap_or_else(|e| panic!("{algorithm:?}/{convention:?}: {e}"));
+            let out = LearnRun::new(&wf, &fleet, "matrix", &cfg, &SimConfig::default())
+                .run(&mut Tracer::disabled())
+                .unwrap_or_else(|e| panic!("{algorithm:?}/{convention:?}: {e}"))
+                .outcome;
             out.greedy_plan.validate(&wf, &fleet).unwrap();
             assert_eq!(out.episodes.len(), 6);
             assert!(out.episodes.iter().all(|e| e.success));
@@ -61,7 +64,10 @@ proptest! {
             seed,
             ..ReassignConfig::default()
         };
-        let out = learn(&wf, &fleet, "prop", &cfg, &SimConfig::default(), None).unwrap();
+        let out = LearnRun::new(&wf, &fleet, "prop", &cfg, &SimConfig::default())
+            .run(&mut Tracer::disabled())
+            .unwrap()
+            .outcome;
         prop_assert!(out.greedy_plan.is_complete());
         prop_assert!(out.best_episode_makespan.as_secs() > 0.0);
         // Q values stay finite under any parameterization.

@@ -3,12 +3,25 @@
 
 use cloud::Fleet;
 use obs::{trace_diff, MemSink, TraceDiff, Tracer};
-use reassign::{learn, learn_parallel, learn_parallel_traced, learn_traced, ReassignConfig};
+use reassign::{learn, learn_traced, LearnOutcome, LearnRun, ReassignConfig};
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
 
 fn cfg(episodes: u32, seed: u64) -> ReassignConfig {
     ReassignConfig { episodes, seed, ..ReassignConfig::default() }
+}
+
+/// A `cfg(6, 3)` run on the deterministic simulator with `rollouts`
+/// episodes per round.
+fn learn_rollouts(rollouts: u32) -> LearnOutcome {
+    let (wf, fleet) = (montage50(), Fleet::paper_16_vcpus());
+    LearnRun {
+        rollouts,
+        ..LearnRun::new(&wf, &fleet, "16vcpus", &cfg(6, 3), &SimConfig::deterministic())
+    }
+    .run(&mut Tracer::disabled())
+    .unwrap()
+    .outcome
 }
 
 #[test]
@@ -17,7 +30,7 @@ fn parallel_k1_telemetry_matches_serial_exactly() {
     let fleet = Fleet::paper_16_vcpus();
     let sim = SimConfig::deterministic();
     let serial = learn(&wf, &fleet, "16vcpus", &cfg(6, 3), &sim, None).unwrap();
-    let par = learn_parallel(&wf, &fleet, "16vcpus", &cfg(6, 3), &sim, 1, None).unwrap();
+    let par = learn_rollouts(1);
     // Full structural equality: counters, and every histogram down to
     // bucket counts, fixed-point sums and min/max.
     assert_eq!(serial.telemetry, par.telemetry);
@@ -35,7 +48,7 @@ fn parallel_k3_merged_aggregates_equal_serial_counters() {
     let fleet = Fleet::paper_16_vcpus();
     let sim = SimConfig::deterministic();
     let serial = learn(&wf, &fleet, "16vcpus", &cfg(6, 3), &sim, None).unwrap();
-    let par = learn_parallel(&wf, &fleet, "16vcpus", &cfg(6, 3), &sim, 3, None).unwrap();
+    let par = learn_rollouts(3);
     assert_eq!(serial.telemetry.episodes, par.telemetry.episodes);
     assert_eq!(serial.telemetry.successes, par.telemetry.successes);
     assert_eq!(serial.telemetry.td_updates, par.telemetry.td_updates);
@@ -48,17 +61,10 @@ fn parallel_trace(rollouts: u32) -> String {
     let fleet = Fleet::paper_16_vcpus();
     let mut sink = MemSink::new();
     let mut tracer = Tracer::new(&mut sink);
-    learn_parallel_traced(
-        &wf,
-        &fleet,
-        "16vcpus",
-        &cfg(5, 9),
-        &SimConfig::deterministic(),
-        rollouts,
-        None,
-        &mut tracer,
-    )
-    .unwrap();
+    let (config, sim) = (cfg(5, 9), SimConfig::deterministic());
+    let run = LearnRun { rollouts, ..LearnRun::new(&wf, &fleet, "16vcpus", &config, &sim) };
+    tracer.emit_with(|| run.header());
+    run.run(&mut tracer).unwrap();
     sink.take()
 }
 

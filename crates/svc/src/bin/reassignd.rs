@@ -35,7 +35,7 @@
 //! table.
 
 use std::io::{Read as _, Write as _};
-use svc::{parse_submissions, Service, ServiceConfig};
+use svc::{parse_submissions, serve_metrics, Service, ServiceConfig};
 use wfcommon::{Error, Result};
 
 const USAGE: &str = "usage: reassignd --submissions FILE [--shards N] [--workers N] \
@@ -178,42 +178,6 @@ fn write_file(path: &str, contents: &str) -> Result<()> {
     std::fs::write(path, contents).map_err(|e| Error::Persistence(format!("{path}: {e}")))
 }
 
-/// Serve `/metrics` (Prometheus text) and `/health` (JSON) from the
-/// live registry on a plain std listener. Runs detached until process
-/// exit; each connection is one request-response (`Connection: close`).
-fn serve_metrics(addr: &str, registry: std::sync::Arc<obs::Registry>) -> Result<()> {
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| Error::Config(format!("--metrics-listen {addr}: {e}")))?;
-    let bound = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| addr.to_string());
-    eprintln!("reassignd: metrics on http://{bound}/metrics");
-    let t0 = std::time::Instant::now();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let mut buf = [0u8; 1024];
-            let n = stream.read(&mut buf).unwrap_or(0);
-            let request = String::from_utf8_lossy(&buf[..n]);
-            let path = request.split_whitespace().nth(1).unwrap_or("/");
-            let elapsed = t0.elapsed().as_secs_f64();
-            let (status, ctype, body) = match path {
-                "/metrics" => {
-                    ("200 OK", "text/plain; version=0.0.4", registry.prometheus_text(elapsed))
-                }
-                "/health" | "/" => {
-                    ("200 OK", "application/json", format!("{}\n", registry.health_json(elapsed)))
-                }
-                _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
-            };
-            let _ = write!(
-                stream,
-                "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-        }
-    });
-    Ok(())
-}
-
 /// One-shot `top`: fetch a path from a running exposition endpoint.
 fn http_get(addr: &str, path: &str) -> Result<String> {
     let mut stream = std::net::TcpStream::connect(addr)
@@ -270,7 +234,8 @@ fn run() -> Result<()> {
     let subs = parse_submissions(&text)?;
     let mut svc = Service::new(args.cfg.clone())?;
     if let Some(addr) = &args.metrics_listen {
-        serve_metrics(addr, svc.registry())?;
+        let bound = serve_metrics(addr, svc.registry())?;
+        eprintln!("reassignd: metrics on http://{bound}/metrics");
     }
     svc.start();
     for sub in subs {

@@ -16,8 +16,8 @@
 //!        │                (virtual-time order, weight-proportional)
 //!        ▼  per-worker channels (pure transport)
 //!  worker (shard % workers) ─▶ ShardState { warm-start Q-cache }
-//!        │   hit  → fine-tune  (learn_tuned, reduced episodes)
-//!        │   miss → full learn (learn_tuned, full episodes)
+//!        │   hit  → fine-tune  (LearnRun, warm table, reduced episodes)
+//!        │   miss → full learn (LearnRun, full episodes)
 //!        ▼
 //!  simulate_cached(greedy plan, optional FaultConfig)
 //!        ▼
@@ -57,6 +57,7 @@
 
 pub mod config;
 pub mod loadgen;
+pub mod metrics_http;
 pub mod report;
 pub mod service;
 pub mod shard;
@@ -65,6 +66,7 @@ pub mod wfq;
 
 pub use config::{ServiceConfig, WfqConfig};
 pub use loadgen::{generate_submissions, tenant_name, LoadgenSpec};
+pub use metrics_http::{serve_metrics, METRICS_IO_TIMEOUT};
 pub use report::{Completed, ServiceReport, WfqStats};
 pub use service::{run_batch, Admission, Service};
 pub use shard::{CacheKey, QCache};

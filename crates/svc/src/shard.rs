@@ -9,7 +9,7 @@ use crate::submit::Submission;
 use obs::{BinMemSink, TraceEvent, Tracer};
 use provenance::{ActivationProv, EpisodeKey, EpisodeRecord};
 use qlearn::DenseQTable;
-use reassign::{learn_tuned, ReassignConfig};
+use reassign::{LearnRun, ReassignConfig};
 use std::collections::HashMap;
 use wfcommon::ids::Idx;
 use wfcommon::{EpisodeId, Error, Result, SeedDerivation, SimTime};
@@ -192,15 +192,17 @@ impl ShardState {
         let tuned = {
             let mut tracer =
                 if cfg.trace_detail { Tracer::new(&mut self.sink) } else { Tracer::disabled() };
-            learn_tuned(
-                &wf,
-                &cfg.fleet,
-                &cfg.fleet_label,
-                &rcfg,
-                &SimConfig::deterministic(),
-                warm.as_ref(),
-                &mut tracer,
-            )?
+            LearnRun {
+                warm_q: warm.as_ref(),
+                ..LearnRun::new(
+                    &wf,
+                    &cfg.fleet,
+                    &cfg.fleet_label,
+                    &rcfg,
+                    &SimConfig::deterministic(),
+                )
+            }
+            .run(&mut tracer)?
         };
         self.cache.insert(key, tuned.q_table);
         let out = tuned.outcome;

@@ -55,16 +55,10 @@ fn service_path_matches_direct_learn_and_simulate() {
     let mut sink = MemSink::new();
     let tuned = {
         let mut tracer = Tracer::new(&mut sink);
-        reassign::learn_tuned(
-            &wf,
-            &cfg.fleet,
-            &cfg.fleet_label,
-            &rcfg,
-            &SimConfig::deterministic(),
-            None,
-            &mut tracer,
-        )
-        .unwrap()
+        let sim = SimConfig::deterministic();
+        reassign::LearnRun::new(&wf, &cfg.fleet, &cfg.fleet_label, &rcfg, &sim)
+            .run(&mut tracer)
+            .unwrap()
     };
     let wf_cache = WorkflowCache::new(&wf).unwrap();
     let seeds = SeedDerivation::new(SeedDerivation::new(seed).seed_for("svc-replay", 0));

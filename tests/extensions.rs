@@ -3,7 +3,8 @@
 //! under learning, warm starts and annealing.
 
 use cloud::{BillingGranularity, Fleet};
-use reassign::{learn, learn_with_demonstration, ReassignConfig};
+use obs::Tracer;
+use reassign::{learn, LearnRun, ReassignConfig};
 use sched::heft_plan;
 use wfcommon::{SeedDerivation, SimTime};
 use wfsim::timeshared::replay_time_shared;
@@ -102,7 +103,11 @@ fn warm_start_beats_cold_start_at_one_episode() {
     let cfg = ReassignConfig { episodes: 1, ..ReassignConfig::default() };
     let sim = SimConfig::deterministic();
     let cold = learn(&wf, &fleet, "cold", &cfg, &sim, None).unwrap();
-    let warm = learn_with_demonstration(&wf, &fleet, "warm", &cfg, &sim, &demo, None).unwrap();
+    let warm =
+        LearnRun { demonstration: Some(&demo), ..LearnRun::new(&wf, &fleet, "warm", &cfg, &sim) }
+            .run(&mut Tracer::disabled())
+            .unwrap()
+            .outcome;
     // After one episode the warm greedy plan is still mostly the
     // demonstration, so it must be competitive with HEFT, while the
     // cold greedy plan is essentially noise.
