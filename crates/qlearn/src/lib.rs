@@ -3,7 +3,8 @@
 //! Implements the classical model-free, off-policy Q-learning algorithm
 //! the paper builds ReASSIgN on: Q-tables ([`qtable`]), action-selection
 //! policies ([`policy`]), parameter schedules ([`schedule`]), the update
-//! rule ([`learner`]) and persistence ([`persist`]).
+//! rule ([`learner`]), the incrementally kept bootstrap maximum
+//! ([`pending_max`]) and persistence ([`persist`]).
 //!
 //! One faithful quirk: the paper's Algorithm 1 *inverts* the usual
 //! ε-greedy convention — "with probability ε choose a as the **best**
@@ -18,6 +19,7 @@ pub mod double_q;
 pub mod inspect;
 pub mod learner;
 pub mod mdp;
+pub mod pending_max;
 pub mod persist;
 pub mod policy;
 pub mod qtable;
@@ -26,6 +28,7 @@ pub mod schedule;
 
 pub use double_q::DoubleQLearner;
 pub use learner::{QLearner, QLearnerConfig};
+pub use pending_max::PendingMax;
 pub use policy::{EpsilonGreedy, Greedy, PaperEpsilonGreedy, Policy, Softmax, Ucb1};
 pub use qtable::DenseQTable;
 pub use sarsa::ExpectedSarsa;

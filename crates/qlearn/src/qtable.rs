@@ -103,14 +103,12 @@ impl DenseQTable {
         best.map(|(a, _)| a)
     }
 
-    /// `max Q(s, a)` pooled over the action sets of several state
-    /// `rows` — the TD bootstrap when the successor state offers every
-    /// action of every pending row. With an `overlay` (a flat row-major
-    /// buffer of this table's shape) the values read are
-    /// `Q(s, a) + overlay[s · cols + a]`. Returns 0 for an empty row
-    /// set (terminal-state convention, matching [`Self::max_over`]).
-    pub fn max_over_rows(&self, rows: &[usize], overlay: Option<&[f64]>) -> f64 {
-        let row_max = |s: usize| match overlay {
+    /// `max_a Q(s, a)` over every action of row `s`. With an `overlay`
+    /// (a flat row-major buffer of this table's shape) the values read
+    /// are `Q(s, a) + overlay[s · cols + a]`. NaN cells are skipped; a
+    /// row of nothing else reads `-inf`.
+    pub fn row_max(&self, s: usize, overlay: Option<&[f64]>) -> f64 {
+        match overlay {
             None => self.max_over(s, None),
             Some(overlay) => self
                 .row(s)
@@ -118,8 +116,21 @@ impl DenseQTable {
                 .zip(&overlay[s * self.cols..(s + 1) * self.cols])
                 .map(|(v, d)| v + d)
                 .fold(f64::NEG_INFINITY, f64::max),
-        };
-        let best = rows.iter().map(|&s| row_max(s)).fold(f64::NEG_INFINITY, f64::max);
+        }
+    }
+
+    /// `max Q(s, a)` pooled over the action sets of several state
+    /// `rows` ([`Self::row_max`] of each) — the TD bootstrap when the
+    /// successor state offers every action of every pending row.
+    /// Returns 0 for an empty row set (terminal-state convention,
+    /// matching [`Self::max_over`]).
+    ///
+    /// This full scan is the *definition* of the bootstrap. The
+    /// learner answers it from a [`crate::PendingMax`] kept up to date
+    /// across an episode; the scan is what that index is tested
+    /// against.
+    pub fn max_over_rows(&self, rows: &[usize], overlay: Option<&[f64]>) -> f64 {
+        let best = rows.iter().map(|&s| self.row_max(s, overlay)).fold(f64::NEG_INFINITY, f64::max);
         if best == f64::NEG_INFINITY {
             0.0
         } else {

@@ -3,8 +3,8 @@
 use crate::config::{EpsilonConvention, ReassignConfig, RlAlgorithm};
 use crate::reward::RewardTracker;
 use qlearn::{
-    DenseQTable, DoubleQLearner, EpsilonGreedy, ExpectedSarsa, PaperEpsilonGreedy, Policy as _,
-    QLearner, QLearnerConfig,
+    DenseQTable, DoubleQLearner, EpsilonGreedy, ExpectedSarsa, PaperEpsilonGreedy, PendingMax,
+    Policy as _, QLearner, QLearnerConfig,
 };
 use wfcommon::ids::Idx;
 use wfcommon::rng::Rng;
@@ -47,10 +47,13 @@ impl AgentPolicy {
 
 /// Everything one episode's decisions and TD steps need besides the
 /// value table: the policy with this episode's ε, the episode's
-/// exploration stream, the smoothed reward, the decision epoch and the
-/// completed-activation mask. The in-place agent and the delta rollout
-/// both drive their episode through this one type, so the two cannot
-/// drift apart. The vectors keep their capacity across episodes.
+/// exploration stream, the smoothed reward, the decision epoch, the
+/// completed-activation mask and the TD bootstrap over the rows that
+/// mask leaves pending. The in-place agent and the delta rollout both
+/// drive their episode through this one type, so the two cannot drift
+/// apart. The mask and the bootstrap are sized in [`Self::new`] and
+/// the scratch vectors keep their capacity, so after the first episode
+/// nothing here allocates.
 #[derive(Clone)]
 pub(crate) struct EpisodeState {
     policy: AgentPolicy,
@@ -63,8 +66,18 @@ pub(crate) struct EpisodeState {
     done: Vec<bool>,
     /// Scratch: idle VM indices, rebuilt by each [`Self::decide`].
     idle: Vec<usize>,
-    /// Rows of the activations still pending — the successor state's
-    /// action rows — rebuilt by each [`Self::observe`].
+    /// `max Q` over the rows of the activations still pending — the
+    /// successor state's action rows, so the Q-learning bootstrap
+    /// ([`DenseQTable::max_over_rows`] is its definition). Kept up to
+    /// date rather than rescanned: [`Self::reindex`] replays it from a
+    /// table, [`Self::observe`] retires the row of a success,
+    /// [`Self::refresh`] re-reads the one row a TD step wrote — a
+    /// completion costs O(cols + log rows), not O(rows · cols). All
+    /// `-inf` (never read) under the backends that bootstrap from
+    /// [`Self::pending_rows`] instead.
+    best: PendingMax,
+    /// Scratch: the pending rows themselves, rebuilt by each
+    /// [`Self::pending_rows`].
     pending: Vec<usize>,
 }
 
@@ -87,6 +100,7 @@ impl EpisodeState {
             t: 0,
             done: vec![false; n_activations],
             idle: Vec::new(),
+            best: PendingMax::new(n_activations),
             pending: Vec::new(),
         })
     }
@@ -104,6 +118,15 @@ impl EpisodeState {
         self.reward.reset();
         self.t = 0;
         self.done.iter_mut().for_each(|d| *d = false);
+    }
+
+    /// Replay the bootstrap tournament from `view`, the values this
+    /// episode's TD steps read, over the rows not yet done:
+    /// O(rows · cols). Due after [`Self::begin`] and whenever `view` was
+    /// written other than by a TD step followed by [`Self::refresh`].
+    pub(crate) fn reindex(&mut self, view: &DenseQTable) {
+        let done = &self.done;
+        self.best.rebuild(|s| if done[s] { f64::NEG_INFINITY } else { view.row_max(s, None) });
     }
 
     /// The smoothed reward `r^t` right now.
@@ -146,21 +169,37 @@ impl EpisodeState {
     /// Fold one completion in: smoothed reward `r^t`, minus the failure
     /// cost for a failed attempt (transient failure, timeout, crash
     /// orphan — worth strictly less than any success on the same
-    /// state); a success marks its activation done. Leaves the
-    /// successor rows in `self.pending` and returns `(r^t, t)` for the
-    /// caller's TD step, with the epoch already advanced.
+    /// state); a success marks its activation done and takes its row
+    /// out of the bootstrap. Returns `(r^t, t)` for the caller's TD
+    /// step, with the epoch already advanced.
     fn observe(&mut self, info: &CompletionInfo, history: &ExecHistory) -> (f64, u64) {
         let mut r_t = self.reward.observe(history, info.vm);
         if info.failed {
             r_t -= self.failure_penalty;
         } else {
             self.done[info.activation.index()] = true;
+            self.best.retire(info.activation.index());
         }
-        self.pending.clear();
-        self.pending.extend(self.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)));
         let t = self.t;
         self.t += 1;
         (r_t, t)
+    }
+
+    /// A TD step wrote row `s`: if its activation is still pending (a
+    /// failed attempt, a replica that lost the race) the bootstrap
+    /// takes the row's new maximum from `row_max`. O(cols + log rows).
+    fn refresh(&mut self, s: usize, row_max: impl FnOnce() -> f64) {
+        if !self.done[s] {
+            self.best.set(s, row_max());
+        }
+    }
+
+    /// The rows of the activations still pending, for the backends
+    /// whose bootstrap needs the list itself. O(rows).
+    fn pending_rows(&mut self) -> &[usize] {
+        self.pending.clear();
+        self.pending.extend(self.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)));
+        &self.pending
     }
 }
 
@@ -283,13 +322,25 @@ impl ReassignScheduler {
                 )?,
             },
         };
-        Ok(Self {
+        let mut agent = Self {
             backend,
             state: EpisodeState::new(n_activations, &config)?,
             episode: 0,
             name: config.label(),
             config,
-        })
+        };
+        agent.reindex();
+        Ok(agent)
+    }
+
+    /// Bring the bootstrap tournament in line with the behaviour table.
+    /// An agent can be handed completions at any time (`simulate`
+    /// without [`Self::begin_episode`] is allowed), so this runs after
+    /// everything that writes the table other than a TD step.
+    fn reindex(&mut self) {
+        if let Backend::Q { table, .. } = &self.backend {
+            self.state.reindex(table);
+        }
     }
 
     /// Reset per-episode state (`t ← 1`, `r^t ← 0`, Algorithm 2's outer
@@ -306,6 +357,7 @@ impl ReassignScheduler {
     /// episode `e` draws exactly the stream the original would.
     pub fn begin_episode_at(&mut self, episode: u32) {
         self.state.begin(&self.config, episode);
+        self.reindex();
         if let Backend::Double { rng, .. } = &mut self.backend {
             *rng =
                 SeedDerivation::new(self.config.seed).rng_for("reassign-doubleq", episode as u64);
@@ -375,6 +427,7 @@ impl ReassignScheduler {
                     )));
                 }
                 *table = q;
+                self.reindex();
                 Ok(())
             }
             Backend::Double { learner, .. } => {
@@ -404,6 +457,7 @@ impl ReassignScheduler {
                     )));
                 }
                 *table = q;
+                self.reindex();
                 Ok(())
             }
             Backend::Double { .. } => Err(wfcommon::Error::Config(
@@ -438,6 +492,7 @@ impl ReassignScheduler {
                 }
             }
         }
+        self.reindex();
         Ok(())
     }
 
@@ -482,6 +537,7 @@ impl ReassignScheduler {
         match &mut self.backend {
             Backend::Q { table, .. } => {
                 table.add_flat(delta);
+                self.reindex();
                 Ok(())
             }
             _ => Err(wfcommon::Error::Config(
@@ -505,17 +561,16 @@ impl Scheduler for ReassignScheduler {
     fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
         let (r_t, t) = self.state.observe(info, history);
         let (s, a) = (info.activation.index(), info.vm.index());
-        let pending = &self.state.pending;
         match &mut self.backend {
             Backend::Q { table, learner } => {
-                let next_best = table.max_over_rows(pending, None);
-                learner.update(table, s, a, r_t, next_best, t);
+                learner.update(table, s, a, r_t, self.state.best.max(), t);
+                self.state.refresh(s, || table.row_max(s, None));
             }
             Backend::Double { learner, rng } => {
-                learner.update(s, a, r_t, pending, t, rng);
+                learner.update(s, a, r_t, self.state.pending_rows(), t, rng);
             }
             Backend::Sarsa { table, learner } => {
-                learner.update(table, s, a, r_t, pending, t);
+                learner.update(table, s, a, r_t, self.state.pending_rows(), t);
             }
         }
     }
@@ -570,6 +625,8 @@ impl<'a> DeltaRollout<'a> {
         );
         delta.fill(0.0);
         state.begin(config, episode);
+        // `delta` is all zeros here, so `base` alone is the view.
+        state.reindex(base);
         samples.clear();
         Self { base, learner, delta, state, samples }
     }
@@ -590,11 +647,12 @@ impl Scheduler for DeltaRollout<'_> {
         let (r_t, t) = self.state.observe(info, history);
         self.samples.push((info.vm, info.exec_secs, info.queue_secs));
         let (s, a) = (info.activation.index(), info.vm.index());
-        let next_best = self.base.max_over_rows(&self.state.pending, Some(&*self.delta));
+        let next_best = self.state.best.max();
         let idx = s * self.base.cols() + a;
         let td =
             r_t + self.learner.discount_at(t) * next_best - (self.base.get(s, a) + self.delta[idx]);
         self.delta[idx] += self.learner.config().alpha * td;
+        self.state.refresh(s, || self.base.row_max(s, Some(&*self.delta)));
     }
 }
 
@@ -604,13 +662,6 @@ mod tests {
     use cloud::Fleet;
     use wfsim::SimConfig;
     use workflow::montage50::montage50;
-
-    impl ReassignScheduler {
-        /// Rows of activations still pending this episode.
-        fn pending_rows(&self) -> Vec<usize> {
-            self.state.done.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(i)).collect()
-        }
-    }
 
     fn agent_with(algorithm: RlAlgorithm) -> ReassignScheduler {
         let cfg = ReassignConfig { algorithm, episodes: 1, ..ReassignConfig::default() };
@@ -798,6 +849,16 @@ mod tests {
     }
 
     #[test]
+    fn delta_rollout_bootstrap_follows_rows_that_stay_pending() {
+        // Without a failure penalty a failed attempt can raise its
+        // cell, and with it the bootstrap of every later TD step: the
+        // overlay has to re-read that row just as the in-place agent
+        // does, or the two drift by far more than ulps.
+        let cfg = ReassignConfig { episodes: 1, ..ReassignConfig::default() };
+        compare_delta_vs_clone(cfg, &faulty_sim(), false);
+    }
+
+    #[test]
     fn apply_q_delta_is_a_dense_add_on_q_backend_only() {
         let mut agent = agent_with(RlAlgorithm::QLearning);
         let before = agent.q_table().clone();
@@ -815,11 +876,147 @@ mod tests {
     #[test]
     fn pending_rows_shrink_as_work_completes() {
         let mut agent = agent_with(RlAlgorithm::QLearning);
-        assert_eq!(agent.pending_rows().len(), 50);
+        assert_eq!(agent.state.pending_rows().len(), 50);
         agent.state.done[0] = true;
         agent.state.done[7] = true;
-        assert_eq!(agent.pending_rows().len(), 48);
+        assert_eq!(agent.state.pending_rows().len(), 48);
         agent.state.done.iter_mut().for_each(|d| *d = true);
-        assert!(agent.pending_rows().is_empty());
+        assert!(agent.state.pending_rows().is_empty());
+    }
+
+    /// The bootstrap as it is defined: every completion lists the
+    /// pending rows and folds all of them
+    /// ([`DenseQTable::max_over_rows`]). Decisions, reward and epoch go
+    /// through the same [`EpisodeState`] as the agent's, so the
+    /// bootstrap is the only thing the two can differ in.
+    struct NaiveScan {
+        table: DenseQTable,
+        learner: QLearner,
+        state: EpisodeState,
+    }
+
+    impl NaiveScan {
+        /// What `agent` would be had it just been built around its
+        /// current table.
+        fn beside(agent: &ReassignScheduler) -> Self {
+            let (table, learner) = agent.q_backend().unwrap();
+            Self {
+                table: table.clone(),
+                learner: learner.clone(),
+                state: EpisodeState::new(table.rows(), agent.config()).unwrap(),
+            }
+        }
+    }
+
+    impl Scheduler for NaiveScan {
+        fn name(&self) -> &str {
+            "naive-scan"
+        }
+        fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
+            let Self { table, state, .. } = self;
+            state.decide(ctx, |row, a| table.get(row, a))
+        }
+        fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
+            let (r_t, t) = self.state.observe(info, history);
+            let next_best = self.table.max_over_rows(self.state.pending_rows(), None);
+            let (s, a) = (info.activation.index(), info.vm.index());
+            self.learner.update(&mut self.table, s, a, r_t, next_best, t);
+        }
+    }
+
+    /// Retries, crash orphans and replica losers: rows that take TD
+    /// writes while still pending, and after they are done.
+    fn faulty_sim() -> SimConfig {
+        SimConfig {
+            max_retries: 30,
+            replication: cloud::ReplicationPolicy::Static { k: 2 },
+            faults: cloud::FaultConfig {
+                vm_mtbf_hours: 0.05,
+                repair_secs: 15.0,
+                straggler_prob: 0.1,
+                straggler_factor: 2.0,
+                backoff_base_secs: 1.0,
+                ..cloud::FaultConfig::none()
+            },
+            failure_prob: 0.1,
+            ..SimConfig::default()
+        }
+    }
+
+    /// A table unlike any the agent initialises itself with.
+    fn other_table(rows: usize, cols: usize) -> DenseQTable {
+        DenseQTable::random(rows, cols, 2.0, &mut SeedDerivation::new(99).rng_for("other", 0))
+    }
+
+    fn assert_same_bits(agent: &ReassignScheduler, naive: &NaiveScan, what: &str) {
+        let (got, want) = (agent.q_table().as_flat(), naive.table.as_flat());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell {i}: {g} vs {w}");
+        }
+    }
+
+    /// An agent handed completions without `begin_episode` — right
+    /// after construction, and after each way of writing its table from
+    /// outside — bootstraps from the table it holds *now*: its learned
+    /// table equals the naive scan's bit for bit.
+    #[test]
+    fn agent_that_skips_begin_episode_matches_naive_scan() {
+        let wf = montage50();
+        let fleet = Fleet::paper_16_vcpus();
+        // No failure penalty, so a failed attempt's TD write can raise
+        // its cell as well as lower it.
+        let cfg = ReassignConfig { episodes: 1, failure_penalty: 0.0, ..ReassignConfig::default() };
+        let other = other_table(wf.len(), fleet.len());
+        let heft = sched::heft_plan(&wf, &fleet, SimConfig::default().bandwidth_bytes_per_sec)
+            .unwrap()
+            .plan;
+        type Rewrite<'a> = (&'a str, Box<dyn Fn(&mut ReassignScheduler) + 'a>);
+        let rewrites: [Rewrite<'_>; 4] = [
+            ("fresh", Box::new(|_| {})),
+            ("load_q_table", Box::new(|a| a.load_q_table(other.clone()).unwrap())),
+            ("warm_start", Box::new(|a| a.warm_start(&heft).unwrap())),
+            ("apply_q_delta", Box::new(|a| a.apply_q_delta(other.as_flat()).unwrap())),
+        ];
+        for (what, rewrite) in &rewrites {
+            for sim in [SimConfig::deterministic(), faulty_sim()] {
+                let mut agent = ReassignScheduler::new(wf.len(), fleet.len(), cfg).unwrap();
+                rewrite(&mut agent);
+                let mut naive = NaiveScan::beside(&agent);
+                // Twice: the second run finds every row already done
+                // (nothing reset the mask) and must bootstrap from 0.
+                for run in 0..2 {
+                    let seeds = SeedDerivation::new(11 + run);
+                    let a = wfsim::simulate(&wf, &fleet, &mut agent, &sim, seeds, None).unwrap();
+                    let n = wfsim::simulate(&wf, &fleet, &mut naive, &sim, seeds, None).unwrap();
+                    assert_eq!(a.plan, n.plan, "{what}");
+                    assert_same_bits(&agent, &naive, what);
+                }
+            }
+        }
+    }
+
+    /// The table is replaced between two episodes that do call
+    /// `begin_episode`: the second bootstraps from the new table.
+    #[test]
+    fn table_replaced_between_episodes_matches_naive_scan() {
+        let wf = montage50();
+        let fleet = Fleet::paper_16_vcpus();
+        let cfg = ReassignConfig { episodes: 2, failure_penalty: 5.0, ..ReassignConfig::default() };
+        let other = other_table(wf.len(), fleet.len());
+        let sim = faulty_sim();
+        let mut agent = ReassignScheduler::new(wf.len(), fleet.len(), cfg).unwrap();
+        let mut naive = NaiveScan::beside(&agent);
+        for ep in 0..2u32 {
+            if ep == 1 {
+                agent.load_q_table(other.clone()).unwrap();
+                naive.table = other.clone();
+            }
+            agent.begin_episode_at(ep);
+            naive.state.begin(&cfg, ep);
+            let seeds = SeedDerivation::new(21 + ep as u64);
+            wfsim::simulate(&wf, &fleet, &mut agent, &sim, seeds, None).unwrap();
+            wfsim::simulate(&wf, &fleet, &mut naive, &sim, seeds, None).unwrap();
+            assert_same_bits(&agent, &naive, "episode");
+        }
     }
 }

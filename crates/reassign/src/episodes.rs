@@ -35,8 +35,8 @@ use std::time::Instant;
 use wfcommon::ids::Idx;
 use wfcommon::{EpisodeId, Error, Result, SeedDerivation, SimTime};
 use wfsim::{
-    simulate, simulate_cached_traced, ExecHistory, FixedPlanScheduler, Plan, SimArena, SimConfig,
-    SimResult,
+    simulate_cached, simulate_cached_traced, ExecHistory, FixedPlanScheduler, Plan, SimArena,
+    SimConfig, SimResult,
 };
 use workflow::{Workflow, WorkflowCache};
 
@@ -293,7 +293,7 @@ impl<'a> LearnRun<'a> {
         if ledger.repl_trainer.is_active() {
             episode_sim.replication = ledger.repl_trainer.policy();
         }
-        let outcome = ledger.finish(&env, &episode_sim, &agent, learning_wall_secs)?;
+        let outcome = ledger.finish(&env, &episode_sim, &agent, &mut arena, learning_wall_secs)?;
         tracer.emit_phase("learn.finalize", finalize_t0);
         // No wall-clock in the *default* trace: traces must stay
         // seed-deterministic. The `phase` events above are opt-in
@@ -514,25 +514,29 @@ impl Ledger<'_> {
 
     /// Post-loop work: extract + validate + replay the greedy plan
     /// (deterministically, with fluctuation disabled) under
-    /// `sim_config`, persist the Q snapshot, assemble the outcome.
+    /// `sim_config`, persist the Q snapshot, assemble the outcome. The
+    /// replay runs on the run's own workflow cache and `arena`.
     fn finish(
         self,
         env: &EpisodeEnv<'_>,
         sim_config: &SimConfig,
         agent: &ReassignScheduler,
+        arena: &mut SimArena,
         learning_wall_secs: f64,
     ) -> Result<LearnOutcome> {
         // The deployed artifact: the greedy policy the Q matrix encodes.
         let greedy_plan = agent.greedy_plan();
         greedy_plan.validate(env.workflow, env.fleet)?;
         let mut replay = FixedPlanScheduler::new(greedy_plan.clone());
-        let greedy_result = simulate(
+        let greedy_result = simulate_cached(
             env.workflow,
+            env.cache,
             env.fleet,
             &mut replay,
             &SimConfig { fluctuation: wfsim::FluctuationKind::None, ..sim_config.clone() },
             SeedDerivation::new(env.seeds().seed_for("greedy-eval", 0)),
             None,
+            arena,
         )?;
         // In a fault-free world an unsuccessful replay of a validated plan
         // means the learner produced garbage — a hard error. With fault

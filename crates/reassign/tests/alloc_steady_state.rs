@@ -1,4 +1,13 @@
-//! Steady-state allocation discipline for the parallel learner.
+//! Steady-state allocation discipline for the learner.
+//!
+//! The agent's own callbacks — `begin_episode_at`, `decide`,
+//! `on_completion` — allocate nothing of their own once the first
+//! episode has grown the scratch vectors: the mask of done activations
+//! and the bootstrap tournament over the pending rows
+//! (`qlearn::PendingMax`) are sized once, when the agent is built, and a
+//! TD step neither lists the pending rows nor rescans them. (The reward
+//! reads `ExecHistory::stdv_pi`, which collects the per-VM indices into
+//! a `Vec` per call; that is counted separately and allowed.)
 //!
 //! The delta-rollout path reuses one persistent slot (arena, flat delta
 //! buffer, scratch vectors, trace sink) per concurrent rollout, so once
@@ -10,38 +19,59 @@
 //! `pending` Vec per TD update, hundreds of allocations per episode)
 //! must be gone.
 //!
-//! Measured with a counting `#[global_allocator]` as a *marginal*
-//! comparison — allocations of a long run minus a short run, which
-//! cancels one-time setup (workflow cache, agent construction, rayon
-//! pool) — with a small slack for rayon's per-round job boxing.
+//! Measured with a counting `#[global_allocator]`: the callbacks by
+//! the allocations of the calling thread alone, the rounds as a
+//! *marginal* comparison over all threads — allocations of a long run
+//! minus a short run, which cancels one-time setup (workflow cache,
+//! agent construction, rayon pool) — with a small slack for rayon's
+//! per-round job boxing. The two tests take turns, so neither counts
+//! the other's set-up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use cloud::Fleet;
 use obs::Tracer;
-use reassign::{learn, LearnRun, ReassignConfig};
-use wfsim::SimConfig;
+use reassign::{learn, LearnRun, ReassignConfig, ReassignScheduler};
+use wfcommon::SeedDerivation;
+use wfsim::{CompletionInfo, Decision, ExecHistory, Scheduler, SchedulerContext, SimConfig};
 use workflow::montage50::montage50;
 
 struct CountingAlloc;
 
+/// Allocations on every thread.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations on this thread (const-initialised and without a
+    /// destructor, so touching it from the allocator allocates nothing).
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Held by whichever test is counting.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn count_one() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -55,8 +85,81 @@ fn allocs_during<F: FnOnce()>(f: F) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
+/// Allocations `f` makes on the calling thread.
+fn thread_allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let out = f();
+    (out, THREAD_ALLOCS.with(Cell::get) - before)
+}
+
+/// The agent as the engine sees it, counting what its callbacks
+/// allocate, and what the history statistic the reward reads would
+/// allocate on its own.
+struct Counted<'a> {
+    agent: &'a mut ReassignScheduler,
+    decide: u64,
+    on_completion: u64,
+    stdv_pi: u64,
+}
+
+impl Scheduler for Counted<'_> {
+    fn name(&self) -> &str {
+        self.agent.name()
+    }
+    fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
+        let (decision, allocs) = thread_allocs_during(|| self.agent.decide(ctx));
+        self.decide += allocs;
+        decision
+    }
+    fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
+        let ((), allocs) = thread_allocs_during(|| self.agent.on_completion(info, history));
+        self.on_completion += allocs;
+        let (_, allocs) = thread_allocs_during(|| history.stdv_pi(self.agent.config().mu));
+        self.stdv_pi += allocs;
+    }
+}
+
+#[test]
+fn agent_callbacks_allocate_nothing_of_their_own_after_the_first_episode() {
+    let _turn = TURN.lock().unwrap();
+    let wf = montage50();
+    let fleet = Fleet::paper_16_vcpus();
+    // Failed attempts and crash orphans keep rows pending across TD
+    // writes: the tournament's refresh path, beside retire and rebuild.
+    let faulty = SimConfig {
+        max_retries: 30,
+        failure_prob: 0.1,
+        faults: cloud::FaultConfig {
+            vm_mtbf_hours: 0.05,
+            repair_secs: 15.0,
+            backoff_base_secs: 1.0,
+            ..cloud::FaultConfig::none()
+        },
+        ..SimConfig::default()
+    };
+    for sim in [SimConfig::deterministic(), faulty] {
+        let cfg = ReassignConfig { episodes: 3, ..ReassignConfig::default() };
+        let mut agent = ReassignScheduler::new(wf.len(), fleet.len(), cfg).unwrap();
+        for ep in 0..cfg.episodes {
+            let ((), begin) = thread_allocs_during(|| agent.begin_episode_at(ep));
+            let mut counted =
+                Counted { agent: &mut agent, decide: 0, on_completion: 0, stdv_pi: 0 };
+            let seeds = SeedDerivation::new(ep as u64);
+            wfsim::simulate(&wf, &fleet, &mut counted, &sim, seeds, None).unwrap();
+            if ep > 0 {
+                assert_eq!(
+                    (begin, counted.decide, counted.on_completion),
+                    (0, 0, counted.stdv_pi),
+                    "episode {ep}: allocations in (begin_episode_at, decide, on_completion)"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn parallel_steady_state_rounds_allocate_no_more_than_serial() {
+    let _turn = TURN.lock().unwrap();
     let wf = montage50();
     let fleet = Fleet::paper_16_vcpus();
     let sim = SimConfig::deterministic();

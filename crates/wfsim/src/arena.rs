@@ -2,8 +2,9 @@
 //!
 //! A learning run executes the same workflow thousands of times; most
 //! of the engine's working memory (event queue, per-activation state,
-//! per-VM counters, the ready/idle sets rebuilt every scheduling pass)
-//! has the same shape every episode. A [`SimArena`] owns those buffers
+//! per-VM counters, the ready set kept across the episode, the idle
+//! slots listed at every consultation) has the same shape every
+//! episode. A [`SimArena`] owns those buffers
 //! so repeated [`crate::engine::simulate_cached`] calls reset them in
 //! place instead of reallocating. Arenas are cheap to create and are
 //! *not* shared between threads — in a parallel learner each worker
@@ -38,9 +39,14 @@ pub struct SimArena {
     pub(crate) free_pes: Vec<u32>,
     /// Per-VM cumulative busy seconds.
     pub(crate) vm_busy_secs: Vec<f64>,
-    /// Ready-set buffer rebuilt each scheduling pass.
+    /// The activations in `AcState::Ready`, sorted by id: what the
+    /// scheduler sees as `SchedulerContext::ready`. Kept in step with
+    /// `states` by the engine (sorted insert on becoming ready, removal
+    /// on assignment) instead of being refilled from all `n` states at
+    /// every consultation — O(log n) plus the shift, not O(n).
     pub(crate) ready: Vec<ActivationId>,
-    /// Idle-slot buffer rebuilt each scheduling pass.
+    /// Idle-slot buffer, refilled by an O(|VM|) scan of `free_pes` at
+    /// every consultation.
     pub(crate) idle: Vec<(VmId, u32)>,
 }
 

@@ -317,15 +317,11 @@ pub fn simulate_cached_traced(
     let sim_t0 = tracer.phase_start();
     let mut sched_wall_secs = 0.0f64;
 
-    // Per-activation state.
-    states.extend((0..n).map(|i| {
-        let parents = cache.in_degree(i);
-        if parents == 0 {
-            AcState::Ready { since: SimTime::ZERO }
-        } else {
-            AcState::Locked { remaining_parents: parents }
-        }
-    }));
+    // Per-activation state; the roots start out ready.
+    states.extend((0..n).map(|i| AcState::Locked { remaining_parents: cache.in_degree(i) }));
+    for i in (0..n).filter(|&i| cache.in_degree(i) == 0) {
+        make_ready(states, ready, i, SimTime::ZERO);
+    }
     retries.resize(n, 0);
     placed_on.resize(n, None);
     running_on.resize(n, None);
@@ -492,7 +488,7 @@ pub fn simulate_cached_traced(
                                     states[i] = AcState::Waiting;
                                     sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
                                 } else {
-                                    states[i] = AcState::Ready { since: now };
+                                    make_ready(states, ready, i, now);
                                 }
                             } else {
                                 states[i] = AcState::Failed;
@@ -536,12 +532,11 @@ pub fn simulate_cached_traced(
                             retries: retries[i],
                         });
                         for child in workflow.children(ac) {
-                            if let AcState::Locked { remaining_parents } =
-                                &mut states[child.index()]
-                            {
+                            let c = child.index();
+                            if let AcState::Locked { remaining_parents } = &mut states[c] {
                                 *remaining_parents -= 1;
                                 if *remaining_parents == 0 {
-                                    states[child.index()] = AcState::Ready { since: now };
+                                    make_ready(states, ready, c, now);
                                 }
                             }
                         }
@@ -604,7 +599,7 @@ pub fn simulate_cached_traced(
                                 states[i] = AcState::Waiting;
                                 sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
                             } else {
-                                states[i] = AcState::Ready { since: now };
+                                make_ready(states, ready, i, now);
                             }
                         } else {
                             states[i] = AcState::Failed;
@@ -624,12 +619,11 @@ pub fn simulate_cached_traced(
                         });
                         // Unlock children.
                         for child in workflow.children(ac) {
-                            if let AcState::Locked { remaining_parents } =
-                                &mut states[child.index()]
-                            {
+                            let c = child.index();
+                            if let AcState::Locked { remaining_parents } = &mut states[c] {
                                 *remaining_parents -= 1;
                                 if *remaining_parents == 0 {
-                                    states[child.index()] = AcState::Ready { since: now };
+                                    make_ready(states, ready, c, now);
                                 }
                             }
                         }
@@ -696,7 +690,7 @@ pub fn simulate_cached_traced(
                                             Ev::Wake { ac: ActivationId::from_index(i) },
                                         )?;
                                     } else {
-                                        states[i] = AcState::Ready { since: now };
+                                        make_ready(states, ready, i, now);
                                     }
                                 } else {
                                     states[i] = AcState::Failed;
@@ -738,7 +732,7 @@ pub fn simulate_cached_traced(
                                         Ev::Wake { ac: ActivationId::from_index(i) },
                                     )?;
                                 } else {
-                                    states[i] = AcState::Ready { since: now };
+                                    make_ready(states, ready, i, now);
                                 }
                             } else {
                                 states[i] = AcState::Failed;
@@ -846,7 +840,7 @@ pub fn simulate_cached_traced(
                                 states[i] = AcState::Waiting;
                                 sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
                             } else {
-                                states[i] = AcState::Ready { since: now };
+                                make_ready(states, ready, i, now);
                             }
                         } else {
                             states[i] = AcState::Failed;
@@ -920,7 +914,7 @@ pub fn simulate_cached_traced(
                             states[i] = AcState::Waiting;
                             sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
                         } else {
-                            states[i] = AcState::Ready { since: now };
+                            make_ready(states, ready, i, now);
                         }
                     } else {
                         states[i] = AcState::Failed;
@@ -931,7 +925,7 @@ pub fn simulate_cached_traced(
             Ev::Wake { ac } => {
                 let i = ac.index();
                 if states[i] == AcState::Waiting {
-                    states[i] = AcState::Ready { since: now };
+                    make_ready(states, ready, i, now);
                 }
             }
         }
@@ -1008,9 +1002,27 @@ pub fn simulate_cached_traced(
     Ok(result)
 }
 
+/// Move activation `i` into [`AcState::Ready`] — the only way in — and
+/// with it into `ready`, the id-sorted set [`SchedulerContext::ready`]
+/// shows the scheduler. A binary-search insert: the set is kept across
+/// the episode, not refilled from `states` at every consultation.
+fn make_ready(states: &mut [AcState], ready: &mut Vec<ActivationId>, i: usize, since: SimTime) {
+    states[i] = AcState::Ready { since };
+    let ac = ActivationId::from_index(i);
+    if let Err(pos) = ready.binary_search(&ac) {
+        ready.insert(pos, ac);
+    }
+}
+
 /// While the workflow is *available*, consult the scheduler and apply
 /// assignments. When `halted` (a terminal failure occurred), no new
 /// work is started — running activations just drain.
+///
+/// `ready` is maintained, not rebuilt: [`make_ready`] is its only way
+/// in and the `Assign` arm below its only way out, so a consultation
+/// costs O(|VM|) for the idle scan plus O(log n) for the set, where
+/// scanning every activation state was O(n). Debug builds check the set
+/// against that scan at every consultation.
 #[allow(clippy::too_many_arguments)]
 fn scheduling_pass(
     sim: &mut Simulation<Ev>,
@@ -1045,14 +1057,17 @@ fn scheduling_pass(
     }
     let mut first_consultation = true;
     loop {
-        ready.clear();
-        ready.extend(
-            states
+        debug_assert!(
+            ready.iter().copied().eq(states
                 .iter()
                 .enumerate()
                 .filter(|&(_i, s)| matches!(s, AcState::Ready { .. }))
-                .map(|(i, _s)| ActivationId::from_index(i)),
+                .map(|(i, _s)| ActivationId::from_index(i))),
+            "ready set {ready:?} drifted from the activation states"
         );
+        if ready.is_empty() {
+            return Ok(()); // workflow is *unavailable*: implicit do-nothing
+        }
         idle.clear();
         idle.extend(
             free_pes
@@ -1061,8 +1076,8 @@ fn scheduling_pass(
                 .filter(|&(i, &f)| f > 0 && !blacklisted[i])
                 .map(|(i, &f)| (VmId::from_index(i), f)),
         );
-        if ready.is_empty() || idle.is_empty() {
-            return Ok(()); // workflow is *unavailable*: implicit do-nothing
+        if idle.is_empty() {
+            return Ok(()); // nothing idle: unavailable too
         }
         if first_consultation {
             first_consultation = false;
@@ -1092,6 +1107,13 @@ fn scheduling_pass(
                         "scheduler assigned {activation} to busy/unknown {vm}"
                     )));
                 }
+                // The one way out of `Ready` (and so out of `ready`).
+                let Ok(pos) = ready.binary_search(&activation) else {
+                    return Err(Error::InvalidPlan(format!(
+                        "scheduler assigned {activation}, which is ready but not in the ready set"
+                    )));
+                };
+                ready.remove(pos);
                 free_pes[v] -= 1;
                 states[i] = AcState::Running;
                 plan.assign(activation, vm);
@@ -1475,6 +1497,74 @@ mod tests {
             simulate(&wf, &fleet, &mut replay, &cfg, SeedDerivation::new(6), None).unwrap();
         assert!(second.success);
         assert_eq!(first.plan, second.plan, "replay must follow the plan exactly");
+    }
+
+    /// Follows [`Fifo`] for `honest` consultations, then answers with
+    /// whatever `lie` makes of the context.
+    struct Hostile<F: FnMut(&SchedulerContext<'_>) -> Decision> {
+        honest: u32,
+        lie: F,
+    }
+
+    impl<F: FnMut(&SchedulerContext<'_>) -> Decision> Scheduler for Hostile<F> {
+        fn name(&self) -> &str {
+            "hostile"
+        }
+        fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
+            if self.honest > 0 {
+                self.honest -= 1;
+                return Fifo.decide(ctx);
+            }
+            (self.lie)(ctx)
+        }
+    }
+
+    #[test]
+    fn hostile_assignments_are_invalid_plans_not_panics() {
+        let wf = montage();
+        let fleet = Fleet::paper_16_vcpus();
+        let cfg = SimConfig::deterministic();
+        let run = |honest: u32, lie: &mut dyn FnMut(&SchedulerContext<'_>) -> Decision| {
+            let mut s = Hostile { honest, lie };
+            match simulate(&wf, &fleet, &mut s, &cfg, SeedDerivation::new(6), None) {
+                Err(Error::InvalidPlan(why)) => why,
+                other => panic!("expected InvalidPlan, got {other:?}"),
+            }
+        };
+        let idle_vm = |ctx: &SchedulerContext<'_>| ctx.idle_slots[0].0;
+
+        // The same activation twice in one pass: the second assignment
+        // finds it running, no longer in the ready set.
+        let mut taken = None;
+        let why = run(0, &mut |ctx| {
+            let activation = *taken.get_or_insert(ctx.ready[0]);
+            Decision::Assign { activation, vm: idle_vm(ctx) }
+        });
+        assert!(why.contains("non-ready"), "{why}");
+
+        // An id past the end of the workflow.
+        let why = run(3, &mut |ctx| Decision::Assign {
+            activation: ActivationId::from_index(wf.len() + 7),
+            vm: idle_vm(ctx),
+        });
+        assert!(why.contains("non-ready"), "{why}");
+
+        // A real activation that is still locked behind its parents.
+        let why = run(3, &mut |ctx| {
+            let locked = (0..wf.len())
+                .map(ActivationId::from_index)
+                .find(|ac| wf.parents(*ac).next().is_some() && !ctx.ready.contains(ac))
+                .unwrap();
+            Decision::Assign { activation: locked, vm: idle_vm(ctx) }
+        });
+        assert!(why.contains("non-ready"), "{why}");
+
+        // A ready activation onto a VM that does not exist.
+        let why = run(3, &mut |ctx| Decision::Assign {
+            activation: ctx.ready[0],
+            vm: VmId::from_index(fleet.len()),
+        });
+        assert!(why.contains("busy/unknown"), "{why}");
     }
 
     #[test]
