@@ -242,6 +242,23 @@ impl Backend {
     }
 }
 
+/// A table handed to an agent must be `rows × cols`, its workflow × fleet.
+fn check_shape(q: &DenseQTable, rows: usize, cols: usize) -> wfcommon::Result<()> {
+    if q.rows() != rows || q.cols() != cols {
+        return Err(wfcommon::Error::Config(format!(
+            "snapshot is {}x{}, agent needs {rows}x{cols}",
+            q.rows(),
+            q.cols(),
+        )));
+    }
+    Ok(())
+}
+
+/// Double Q-learning keeps two tables; one plain matrix cannot seed it.
+fn double_q_takes_no_table() -> wfcommon::Error {
+    wfcommon::Error::Config("double-Q agents load snapshots via load_q_snapshot".into())
+}
+
 /// Q-learning activation scheduler.
 ///
 /// The value table follows the paper's representation: one row per
@@ -275,44 +292,68 @@ pub struct ReassignScheduler {
 }
 
 impl ReassignScheduler {
-    /// Build an agent for a workflow of `n_activations` over `n_vms`.
+    /// Build an agent for a workflow of `n_activations` over `n_vms`,
+    /// with a fresh value table (seeded random, or zeros at
+    /// `q_init_scale = 0`).
     pub fn new(
         n_activations: usize,
         n_vms: usize,
         config: ReassignConfig,
     ) -> wfcommon::Result<Self> {
+        Self::build(n_activations, n_vms, config, None)
+    }
+
+    /// Build an agent that starts from `table` — [`Self::new`] followed
+    /// by [`Self::load_q_table`], without first drawing the table that
+    /// call would replace. The fresh table's draws come from a stream of
+    /// their own, so skipping them moves no other draw.
+    pub fn with_q_table(
+        n_activations: usize,
+        n_vms: usize,
+        config: ReassignConfig,
+        table: DenseQTable,
+    ) -> wfcommon::Result<Self> {
+        Self::build(n_activations, n_vms, config, Some(table))
+    }
+
+    fn build(
+        n_activations: usize,
+        n_vms: usize,
+        config: ReassignConfig,
+        given: Option<DenseQTable>,
+    ) -> wfcommon::Result<Self> {
         config.validate()?;
         let seeds = SeedDerivation::new(config.seed);
-        let mut init_rng = seeds.rng_for("reassign-q-init", 0);
+        let init_rng = || seeds.rng_for("reassign-q-init", 0);
         let learner_config = QLearnerConfig {
             alpha: config.alpha,
             gamma: config.gamma,
             discount_power_t: config.discount_power_t,
         };
-        let init_table = |rng: &mut Rng| {
-            if config.q_init_scale > 0.0 {
-                DenseQTable::random(n_activations, n_vms, config.q_init_scale, rng)
-            } else {
-                DenseQTable::zeros(n_activations, n_vms)
+        let start_table = |given: Option<DenseQTable>| match given {
+            Some(q) => check_shape(&q, n_activations, n_vms).map(|()| q),
+            None if config.q_init_scale > 0.0 => {
+                Ok(DenseQTable::random(n_activations, n_vms, config.q_init_scale, &mut init_rng()))
             }
+            None => Ok(DenseQTable::zeros(n_activations, n_vms)),
         };
         let backend = match config.algorithm {
-            RlAlgorithm::QLearning => Backend::Q {
-                table: init_table(&mut init_rng),
-                learner: QLearner::new(learner_config)?,
-            },
+            RlAlgorithm::QLearning => {
+                Backend::Q { table: start_table(given)?, learner: QLearner::new(learner_config)? }
+            }
+            RlAlgorithm::DoubleQ if given.is_some() => return Err(double_q_takes_no_table()),
             RlAlgorithm::DoubleQ => Backend::Double {
                 learner: DoubleQLearner::random(
                     n_activations,
                     n_vms,
                     config.q_init_scale,
                     learner_config,
-                    &mut init_rng,
+                    &mut init_rng(),
                 )?,
                 rng: seeds.rng_for("reassign-doubleq", 0),
             },
             RlAlgorithm::ExpectedSarsa => Backend::Sarsa {
-                table: init_table(&mut init_rng),
+                table: start_table(given)?,
                 learner: ExpectedSarsa::new(
                     learner_config,
                     match config.epsilon_convention {
@@ -417,15 +458,7 @@ impl ReassignScheduler {
         match &mut self.backend {
             Backend::Q { table, .. } | Backend::Sarsa { table, .. } => {
                 let q = qlearn::persist::from_json(json)?;
-                if q.rows() != table.rows() || q.cols() != table.cols() {
-                    return Err(wfcommon::Error::Config(format!(
-                        "snapshot is {}x{}, agent needs {}x{}",
-                        q.rows(),
-                        q.cols(),
-                        table.rows(),
-                        table.cols()
-                    )));
-                }
+                check_shape(&q, table.rows(), table.cols())?;
                 *table = q;
                 self.reindex();
                 Ok(())
@@ -447,22 +480,12 @@ impl ReassignScheduler {
     pub fn load_q_table(&mut self, q: DenseQTable) -> wfcommon::Result<()> {
         match &mut self.backend {
             Backend::Q { table, .. } | Backend::Sarsa { table, .. } => {
-                if q.rows() != table.rows() || q.cols() != table.cols() {
-                    return Err(wfcommon::Error::Config(format!(
-                        "snapshot is {}x{}, agent needs {}x{}",
-                        q.rows(),
-                        q.cols(),
-                        table.rows(),
-                        table.cols()
-                    )));
-                }
+                check_shape(&q, table.rows(), table.cols())?;
                 *table = q;
                 self.reindex();
                 Ok(())
             }
-            Backend::Double { .. } => Err(wfcommon::Error::Config(
-                "double-Q agents load snapshots via load_q_snapshot".into(),
-            )),
+            Backend::Double { .. } => Err(double_q_takes_no_table()),
         }
     }
 
@@ -707,13 +730,47 @@ mod tests {
         let mut agent = agent_with(RlAlgorithm::DoubleQ);
         let err = agent.load_q_table(DenseQTable::zeros(50, 9)).unwrap_err();
         assert!(err.to_string().contains("load_q_snapshot"));
+        let built =
+            ReassignScheduler::with_q_table(50, 9, *agent.config(), DenseQTable::zeros(3, 2));
+        assert_eq!(built.err().unwrap().to_string(), err.to_string());
     }
 
     #[test]
     fn shape_mismatch_rejected() {
         let mut agent = agent_with(RlAlgorithm::QLearning);
-        assert!(agent.load_q_table(DenseQTable::zeros(10, 9)).is_err());
+        let err = agent.load_q_table(DenseQTable::zeros(10, 9)).unwrap_err();
         assert!(agent.load_q_snapshot("{\"rows\":1,\"cols\":1,\"q\":[0.0]}").is_err());
+        let built =
+            ReassignScheduler::with_q_table(50, 9, *agent.config(), DenseQTable::zeros(10, 9));
+        assert_eq!(built.err().unwrap().to_string(), err.to_string());
+    }
+
+    /// An agent built around a table is the agent that was built fresh
+    /// and then loaded it: same table, and the same episode from there.
+    #[test]
+    fn agent_built_around_a_table_matches_one_that_loaded_it() {
+        let wf = montage50();
+        let fleet = Fleet::paper_16_vcpus();
+        for algorithm in [RlAlgorithm::QLearning, RlAlgorithm::ExpectedSarsa] {
+            let mut trained = agent_with(algorithm);
+            let run = |agent: &mut ReassignScheduler| {
+                agent.begin_episode();
+                let sim = SimConfig::deterministic();
+                wfsim::simulate(&wf, &fleet, agent, &sim, SeedDerivation::new(1), None).unwrap()
+            };
+            run(&mut trained);
+            let table = trained.q_table().clone();
+
+            let mut loaded = agent_with(algorithm);
+            loaded.load_q_table(table.clone()).unwrap();
+            let mut built =
+                ReassignScheduler::with_q_table(50, 9, *loaded.config(), table.clone()).unwrap();
+            assert_eq!(built.q_table(), &table);
+            let (a, b) = (run(&mut loaded), run(&mut built));
+            assert_eq!(a.plan, b.plan, "{algorithm:?}");
+            assert_eq!(a.makespan, b.makespan, "{algorithm:?}");
+            assert_eq!(loaded.q_table(), built.q_table(), "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -105,6 +105,10 @@ pub struct LearnRun<'a> {
     pub config: &'a ReassignConfig,
     /// The simulated environment every episode runs in.
     pub sim_config: &'a SimConfig,
+    /// `workflow`'s derived structure, from a caller that already holds
+    /// it (the scheduling service keeps one per prepared workflow); the
+    /// run derives its own otherwise.
+    pub workflow_cache: Option<&'a WorkflowCache>,
     /// Episodes explored side by side per round (≥ 1). At 1 each
     /// episode explores with the table its predecessor left — the
     /// paper's Algorithm 2. At `K ≥ 2` the `K` episodes of a round all
@@ -128,7 +132,8 @@ pub struct LearnRun<'a> {
 }
 
 impl<'a> LearnRun<'a> {
-    /// `rollouts = 1`, no demonstration, no warm table, no provenance.
+    /// `rollouts = 1`, no demonstration, no warm table, no provenance,
+    /// the workflow's structure derived here.
     pub fn new(
         workflow: &'a Workflow,
         fleet: &'a Fleet,
@@ -142,6 +147,7 @@ impl<'a> LearnRun<'a> {
             fleet_label,
             config,
             sim_config,
+            workflow_cache: None,
             rollouts: 1,
             demonstration: None,
             warm_q: None,
@@ -183,6 +189,7 @@ impl<'a> LearnRun<'a> {
             fleet_label,
             config,
             sim_config,
+            workflow_cache,
             rollouts,
             demonstration,
             warm_q,
@@ -195,19 +202,37 @@ impl<'a> LearnRun<'a> {
         }
 
         let key = EpisodeKey::new(workflow.name.clone(), fleet_label, config.label());
-        let mut agent = ReassignScheduler::new(workflow.len(), fleet.len(), *config)?;
-        if let Some(demo) = demonstration {
-            agent.warm_start(demo)?;
-        }
-        if let Some(json) = provenance.as_deref().and_then(|store| store.q_snapshot(&key)) {
-            agent.load_q_snapshot(json)?;
-        }
-        if let Some(q) = warm_q {
-            agent.load_q_table(q.clone())?;
-        }
+        let snapshot = provenance.as_deref().and_then(|store| store.q_snapshot(&key));
+        let mut agent = match warm_q {
+            // The warm table replaces whatever the agent holds, so with
+            // nothing to layer (and fail on) first, start from it.
+            Some(q) if demonstration.is_none() && snapshot.is_none() => {
+                ReassignScheduler::with_q_table(workflow.len(), fleet.len(), *config, q.clone())?
+            }
+            _ => {
+                let mut agent = ReassignScheduler::new(workflow.len(), fleet.len(), *config)?;
+                if let Some(demo) = demonstration {
+                    agent.warm_start(demo)?;
+                }
+                if let Some(json) = snapshot {
+                    agent.load_q_snapshot(json)?;
+                }
+                if let Some(q) = warm_q {
+                    agent.load_q_table(q.clone())?;
+                }
+                agent
+            }
+        };
 
-        let cache = WorkflowCache::new(workflow)?;
-        let env = EpisodeEnv { workflow, cache: &cache, fleet, config };
+        let derived;
+        let cache = match workflow_cache {
+            Some(cache) => cache,
+            None => {
+                derived = WorkflowCache::new(workflow)?;
+                &derived
+            }
+        };
+        let env = EpisodeEnv { workflow, cache, fleet, config };
         let mut ledger = Ledger {
             key,
             provenance,
@@ -736,6 +761,21 @@ mod tests {
             &mut Tracer::disabled(),
         );
         assert!(err.is_err());
+
+        // A demonstration layered under a warm table is still checked.
+        let config = quick_config(2, 1);
+        let sim = SimConfig::deterministic();
+        let warm = qlearn::DenseQTable::zeros(wf.len(), fleet.len());
+        let run = |demonstration| {
+            LearnRun {
+                demonstration,
+                warm_q: Some(&warm),
+                ..LearnRun::new(&wf, &fleet, "16vcpus", &config, &sim)
+            }
+            .run(&mut Tracer::disabled())
+        };
+        assert!(run(None).is_ok());
+        assert!(run(Some(&Plan::empty(3))).is_err());
     }
 
     #[test]

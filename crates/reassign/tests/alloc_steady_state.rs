@@ -5,9 +5,8 @@
 //! episode has grown the scratch vectors: the mask of done activations
 //! and the bootstrap tournament over the pending rows
 //! (`qlearn::PendingMax`) are sized once, when the agent is built, and a
-//! TD step neither lists the pending rows nor rescans them. (The reward
-//! reads `ExecHistory::stdv_pi`, which collects the per-VM indices into
-//! a `Vec` per call; that is counted separately and allowed.)
+//! TD step neither lists the pending rows nor rescans them, and the
+//! history statistics the reward reads are computed in place.
 //!
 //! The delta-rollout path reuses one persistent slot (arena, flat delta
 //! buffer, scratch vectors, trace sink) per concurrent rollout, so once
@@ -93,13 +92,11 @@ fn thread_allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The agent as the engine sees it, counting what its callbacks
-/// allocate, and what the history statistic the reward reads would
-/// allocate on its own.
+/// allocate.
 struct Counted<'a> {
     agent: &'a mut ReassignScheduler,
     decide: u64,
     on_completion: u64,
-    stdv_pi: u64,
 }
 
 impl Scheduler for Counted<'_> {
@@ -114,8 +111,6 @@ impl Scheduler for Counted<'_> {
     fn on_completion(&mut self, info: &CompletionInfo, history: &ExecHistory) {
         let ((), allocs) = thread_allocs_during(|| self.agent.on_completion(info, history));
         self.on_completion += allocs;
-        let (_, allocs) = thread_allocs_during(|| history.stdv_pi(self.agent.config().mu));
-        self.stdv_pi += allocs;
     }
 }
 
@@ -142,14 +137,13 @@ fn agent_callbacks_allocate_nothing_of_their_own_after_the_first_episode() {
         let mut agent = ReassignScheduler::new(wf.len(), fleet.len(), cfg).unwrap();
         for ep in 0..cfg.episodes {
             let ((), begin) = thread_allocs_during(|| agent.begin_episode_at(ep));
-            let mut counted =
-                Counted { agent: &mut agent, decide: 0, on_completion: 0, stdv_pi: 0 };
+            let mut counted = Counted { agent: &mut agent, decide: 0, on_completion: 0 };
             let seeds = SeedDerivation::new(ep as u64);
             wfsim::simulate(&wf, &fleet, &mut counted, &sim, seeds, None).unwrap();
             if ep > 0 {
                 assert_eq!(
                     (begin, counted.decide, counted.on_completion),
-                    (0, 0, counted.stdv_pi),
+                    (0, 0, 0),
                     "episode {ep}: allocations in (begin_episode_at, decide, on_completion)"
                 );
             }

@@ -15,7 +15,7 @@ use reassign::{
 use wfcommon::{Error, SeedDerivation};
 use wfsim::SimConfig;
 use workflow::montage50::montage50;
-use workflow::Workflow;
+use workflow::{Workflow, WorkflowCache};
 
 /// An untraced run with `rollouts` episodes per round.
 fn learn_rollouts(
@@ -370,6 +370,22 @@ fn warm_table_combines_with_rollouts() {
     let one = run(1);
     assert_eq!(fingerprint(&one.outcome), fingerprint(&tuned.outcome));
     assert_eq!(one.q_table, tuned.q_table);
+
+    // A run lent the workflow cache it would have derived is the same
+    // run, in place and side by side.
+    let cache = WorkflowCache::new(&wf).unwrap();
+    for (rollouts, own) in [(1, &one), (4, &a)] {
+        let lent = LearnRun {
+            rollouts,
+            workflow_cache: Some(&cache),
+            warm_q: Some(&warm),
+            ..LearnRun::new(&wf, &fleet, "16vcpus", &cfg, &sim)
+        }
+        .run(&mut Tracer::disabled())
+        .unwrap();
+        assert_eq!(fingerprint(&lent.outcome), fingerprint(&own.outcome), "K={rollouts}");
+        assert_eq!(lent.q_table, own.q_table, "K={rollouts}");
+    }
 }
 
 #[test]

@@ -15,7 +15,10 @@
 //!  deficit round robin ─▶ dequeue at `drain_rate`/tick + at drain
 //!        │                (virtual-time order, weight-proportional)
 //!        ▼  per-worker channels (pure transport)
-//!  worker (shard % workers) ─▶ ShardState { warm-start Q-cache }
+//!  worker (shard % workers) { PreparedMemo: spec → Workflow + WorkflowCache }
+//!        │   prepare: built once per generated spec, DAX files every time
+//!        ▼
+//!  ShardState { warm-start Q-cache }
 //!        │   hit  → fine-tune  (LearnRun, warm table, reduced episodes)
 //!        │   miss → full learn (LearnRun, full episodes)
 //!        ▼
@@ -45,6 +48,10 @@
 //!   state left by the previous job of that shard;
 //! * all per-job seeds derive from the submission's own seed, never
 //!   from wall clock or thread identity;
+//! * what a worker shares between its shards — the memo of prepared
+//!   workflows ([`shard::PreparedMemo`]) — only saves rebuilding what a
+//!   generated spec always builds identically, so which worker
+//!   remembers a spec, or whether any does, changes no output;
 //! * the assembled trace is a canonical concatenation of **binary
 //!   frames** ([`obs::frame`]): prelude, header, submitter events in
 //!   sequence order, then shard buffers in shard id order — so the

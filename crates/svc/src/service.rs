@@ -3,7 +3,7 @@
 
 use crate::config::ServiceConfig;
 use crate::report::{assemble, MetricsPlane, ServiceReport};
-use crate::shard::{ShardOutput, ShardState};
+use crate::shard::{PreparedMemo, ShardOutput, ShardState};
 use crate::submit::{shard_for, Submission};
 use crate::wfq::{Dispatched, Offer, WfqState};
 use obs::slo::{SloEngine, SnapshotView};
@@ -356,10 +356,11 @@ impl Service {
     }
 }
 
-/// One worker: owns every shard that maps to it, processes jobs in
-/// arrival order (per shard = WFQ dispatch order), hands the shard
-/// outputs back at drain, and keeps the live registry current (lane
-/// `lane`, so counter increments never contend across workers).
+/// One worker: owns every shard that maps to it and one memo of
+/// prepared workflows for all of them, processes jobs in arrival order
+/// (per shard = WFQ dispatch order), hands the shard outputs back at
+/// drain, and keeps the live registry current (lane `lane`, so counter
+/// increments never contend across workers).
 fn worker_loop(
     rx: Receiver<Job>,
     cfg: &ServiceConfig,
@@ -367,9 +368,10 @@ fn worker_loop(
     lane: usize,
 ) -> Vec<ShardOutput> {
     let mut shards: HashMap<u32, ShardState> = HashMap::new();
+    let mut memo = PreparedMemo::new();
     for job in rx {
         let state = shards.entry(job.shard).or_insert_with(|| ShardState::new(job.shard));
-        let done = state.process(job.seq, &job.sub, cfg);
+        let done = state.process(job.seq, &job.sub, cfg, &mut memo);
         if done.error.is_none() {
             registry.plans.incr(lane);
             if done.cache_hit {

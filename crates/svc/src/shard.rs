@@ -2,19 +2,25 @@
 //! path. A shard is owned by exactly one worker at a time and never
 //! shared, which is what makes the service deterministic (see the
 //! crate docs).
+//!
+//! Beside it, worker-local and *outside* that contract: the
+//! [`PreparedMemo`] of built workflows a worker lends to whichever of
+//! its shards is processing. A generated spec always builds the same
+//! workflow, so who remembers it cannot change an output byte.
 
 use crate::config::ServiceConfig;
 use crate::report::Completed;
-use crate::submit::Submission;
+use crate::submit::{Submission, WorkflowSpec};
 use obs::{BinMemSink, TraceEvent, Tracer};
 use provenance::{ActivationProv, EpisodeKey, EpisodeRecord};
 use qlearn::DenseQTable;
 use reassign::{LearnRun, ReassignConfig};
 use std::collections::HashMap;
+use std::rc::Rc;
 use wfcommon::ids::Idx;
 use wfcommon::{EpisodeId, Error, Result, SeedDerivation, SimTime};
 use wfsim::{simulate_cached_traced, FixedPlanScheduler, SimArena, SimConfig};
-use workflow::WorkflowCache;
+use workflow::{Workflow, WorkflowCache};
 
 /// What a cached Q-table is keyed by: workflow family (or DAX path),
 /// exact activation count, and fleet size. The table shape is
@@ -86,6 +92,72 @@ impl QCache {
     }
 }
 
+/// A submission's workflow with the structure derived from it: what a
+/// plan needs before any learning, and the same for every submission of
+/// one spec.
+#[derive(Debug)]
+struct Prepared {
+    workflow: Workflow,
+    /// Shared by the learning run and the plan replay.
+    cache: WorkflowCache,
+}
+
+/// Activations one [`PreparedMemo`] may hold. A prepared workflow is
+/// ~1 KB resident per activation, so this is ~1 MB per worker: room for
+/// every spec of a workload that repeats a few dozen small workflows
+/// (the shipped loadgen mix: 20 specs, ~500 activations), and nearly
+/// nothing where specs never repeat. It bounds activations because
+/// entries vary too much in size to count — a cap of 64 *entries* per
+/// shard cost the `svc-churn` benchmark workload (60–152 activations a
+/// workflow, almost no repeats) +27 MB of peak RSS, this costs it ~1 MB.
+const MEMO_BUDGET_ACTIVATIONS: usize = 1024;
+
+/// One worker thread's memo of prepared workflows (a built [`Workflow`]
+/// and its [`WorkflowCache`]), by spec.
+///
+/// Only [`WorkflowSpec::Generated`] is remembered: building one is a
+/// pure function of the spec. A [`WorkflowSpec::Dax`] file can change
+/// between two submissions and is read and parsed every time. A spec
+/// that fails to build is not remembered either, so it fails the same
+/// way each time. Not shared between workers (an `Rc` map needs no
+/// lock) and not per shard (a worker's shards see the same specs).
+#[derive(Debug, Default)]
+pub struct PreparedMemo {
+    map: HashMap<WorkflowSpec, Rc<Prepared>>,
+    /// Activations over all of `map`, ≤ [`MEMO_BUDGET_ACTIVATIONS`].
+    held: usize,
+}
+
+impl PreparedMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The prepared workflow for `spec`: remembered, or built now — and
+    /// then remembered if it is a generated spec that fits the budget,
+    /// emptying the memo first when the rest of it is in the way. A
+    /// workflow larger than the whole budget is used and dropped.
+    fn prepare(&mut self, spec: &WorkflowSpec) -> Result<Rc<Prepared>> {
+        if let Some(known) = self.map.get(spec) {
+            return Ok(Rc::clone(known));
+        }
+        let workflow = spec.build()?;
+        let cache = WorkflowCache::new(&workflow)?;
+        let prepared = Rc::new(Prepared { workflow, cache });
+        let size = prepared.workflow.len();
+        if matches!(spec, WorkflowSpec::Generated { .. }) && size <= MEMO_BUDGET_ACTIVATIONS {
+            if self.held + size > MEMO_BUDGET_ACTIVATIONS {
+                self.map.clear();
+                self.held = 0;
+            }
+            self.map.insert(spec.clone(), Rc::clone(&prepared));
+            self.held += size;
+        }
+        Ok(prepared)
+    }
+}
+
 /// Everything a worker hands back for one shard at drain time.
 #[derive(Debug)]
 pub struct ShardOutput {
@@ -130,15 +202,22 @@ impl ShardState {
         }
     }
 
-    /// Process one admitted submission end to end: cache lookup →
-    /// learn (full or fine-tune) → final plan simulation → record.
+    /// Process one admitted submission end to end: prepare the
+    /// workflow (through the worker's `memo`) → cache lookup → learn
+    /// (full or fine-tune) → final plan simulation → record.
     /// Errors are captured on the [`Completed`] record — a bad
     /// submission must not kill the worker. Returns the record just
     /// pushed, so the worker loop can feed the live registry without
     /// re-deriving the outcome.
-    pub fn process(&mut self, seq: u64, sub: &Submission, cfg: &ServiceConfig) -> &Completed {
+    pub fn process(
+        &mut self,
+        seq: u64,
+        sub: &Submission,
+        cfg: &ServiceConfig,
+        memo: &mut PreparedMemo,
+    ) -> &Completed {
         let family = sub.spec.family_label().to_string();
-        let done = match self.try_process(seq, sub, cfg, &family) {
+        let done = match self.try_process(seq, sub, cfg, &family, memo) {
             Ok(done) => done,
             Err(e) => Completed {
                 seq,
@@ -167,8 +246,10 @@ impl ShardState {
         sub: &Submission,
         cfg: &ServiceConfig,
         family: &str,
+        memo: &mut PreparedMemo,
     ) -> Result<Completed> {
-        let wf = sub.spec.build()?;
+        let prepared = memo.prepare(&sub.spec)?;
+        let Prepared { workflow: wf, cache: wf_cache } = &*prepared;
         let key =
             CacheKey { family: family.to_string(), activations: wf.len(), vms: cfg.fleet.len() };
         let warm = self.cache.lookup(&key);
@@ -193,9 +274,10 @@ impl ShardState {
             let mut tracer =
                 if cfg.trace_detail { Tracer::new(&mut self.sink) } else { Tracer::disabled() };
             LearnRun {
+                workflow_cache: Some(wf_cache),
                 warm_q: warm.as_ref(),
                 ..LearnRun::new(
-                    &wf,
+                    wf,
                     &cfg.fleet,
                     &cfg.fleet_label,
                     &rcfg,
@@ -210,7 +292,6 @@ impl ShardState {
         // The deployed artifact: simulate the greedy plan under the
         // service's fault regime. All seeds derive from the
         // submission's seed — never from wall clock or sequence.
-        let wf_cache = WorkflowCache::new(&wf)?;
         let sim_cfg = SimConfig {
             faults: cfg.faults,
             replication: sub.replicate.clone(),
@@ -222,8 +303,8 @@ impl ShardState {
             let mut tracer =
                 if cfg.trace_detail { Tracer::new(&mut self.sink) } else { Tracer::disabled() };
             simulate_cached_traced(
-                &wf,
-                &wf_cache,
+                wf,
+                wf_cache,
                 &cfg.fleet,
                 &mut replay,
                 &sim_cfg,
@@ -364,8 +445,9 @@ mod tests {
     fn repeat_family_hits_cache_and_spends_fewer_episodes() {
         let cfg = quick_cfg();
         let mut shard = ShardState::new(0);
-        shard.process(0, &sub("acme", "montage", 20, 1), &cfg);
-        shard.process(1, &sub("acme", "montage", 20, 2), &cfg);
+        let mut memo = PreparedMemo::new();
+        shard.process(0, &sub("acme", "montage", 20, 1), &cfg, &mut memo);
+        shard.process(1, &sub("acme", "montage", 20, 2), &cfg, &mut memo);
         let out = shard.into_output();
         assert_eq!(out.completed.len(), 2);
         assert!(!out.completed[0].cache_hit);
@@ -386,12 +468,31 @@ mod tests {
     fn bad_submission_is_captured_not_fatal() {
         let cfg = quick_cfg();
         let mut shard = ShardState::new(3);
-        shard.process(0, &sub("acme", "not-a-family", 20, 1), &cfg);
-        shard.process(1, &sub("acme", "montage", 20, 1), &cfg);
+        let mut memo = PreparedMemo::new();
+        // An unknown family and a size the generator rejects, each
+        // twice: a failed build is not remembered, so the second time
+        // fails like the first — with the builder's own text.
+        let bad = [sub("acme", "not-a-family", 20, 1), sub("acme", "montage", 5, 1)];
+        for (i, s) in bad.iter().chain(&bad).enumerate() {
+            shard.process(i as u64, s, &cfg, &mut memo);
+        }
+        assert!(memo.map.is_empty() && memo.held == 0, "failed builds are not remembered");
+        shard.process(4, &sub("acme", "montage", 20, 1), &cfg, &mut memo);
         let out = shard.into_output();
-        assert!(out.completed[0].error.is_some());
-        assert!(out.completed[0].prov.is_none());
-        assert!(out.completed[1].error.is_none(), "worker survived the bad job");
+        for (done, s) in out.completed.iter().zip(bad.iter().chain(&bad)) {
+            assert_eq!(done.error, Some(s.spec.build().unwrap_err().to_string()));
+            assert!(done.prov.is_none());
+        }
+        assert_eq!(
+            out.completed[0].error.as_deref(),
+            Some("configuration error: unknown family 'not-a-family'")
+        );
+        assert_eq!(
+            out.completed[1].error.as_deref(),
+            Some("configuration error: Montage needs at least 11 activations, got 5")
+        );
+        assert!(out.completed[4].error.is_none(), "worker survived the bad jobs");
+        assert_eq!((out.cache_hits, out.cache_misses), (0, 1), "a failed build looks nothing up");
     }
 
     #[test]
@@ -399,22 +500,113 @@ mod tests {
         let cfg = quick_cfg();
         let run = || {
             let mut shard = ShardState::new(0);
+            let mut memo = PreparedMemo::new();
             for (i, s) in
                 [sub("a", "montage", 20, 1), sub("a", "montage", 20, 2), sub("b", "sipht", 20, 3)]
                     .iter()
                     .enumerate()
             {
-                shard.process(i as u64, s, &cfg);
+                shard.process(i as u64, s, &cfg, &mut memo);
             }
             shard.into_output()
         };
         let x = run();
         let y = run();
         assert_eq!(x.trace, y.trace, "shard traces must be byte-identical");
+        assert_same_plans(&x, &y);
+    }
+
+    fn assert_same_plans(x: &ShardOutput, y: &ShardOutput) {
+        assert_eq!(x.completed.len(), y.completed.len());
         for (a, b) in x.completed.iter().zip(&y.completed) {
+            assert_eq!(a.error, b.error);
             assert_eq!(a.assignments, b.assignments);
             assert_eq!(a.makespan.as_secs().to_bits(), b.makespan.as_secs().to_bits());
             assert_eq!(a.retries, b.retries);
+        }
+    }
+
+    /// The memo against building everything every time (a fresh memo
+    /// per submission): no output may tell the two apart.
+    #[test]
+    fn memo_changes_no_output_and_stays_within_budget() {
+        let mut cfg = quick_cfg();
+        cfg.episodes_full = 2;
+        cfg.trace_detail = true;
+        cfg.faults = cloud::FaultConfig::mild();
+        let subs = [
+            // Two specs that differ only in seed, alternating and revisited.
+            sub("a", "montage", 20, 1),
+            sub("a", "montage", 20, 2),
+            sub("b", "montage", 20, 1),
+            sub("a", "montage", 20, 2),
+            // 40 + 3 × 400 activations: the third does not fit.
+            sub("a", "cybershake", 400, 1),
+            sub("a", "epigenomics", 400, 1),
+            sub("a", "sipht", 400, 1),
+            // Forgotten by that overflow, built again.
+            sub("a", "montage", 20, 1),
+            // Larger than the whole budget: used, never held.
+            sub("a", "montage", 1100, 1),
+            sub("a", "montage", 20, 1),
+            // A second overflow.
+            sub("a", "inspiral", 400, 1),
+            sub("b", "cybershake", 400, 2),
+            sub("a", "sipht", 400, 1),
+            sub("a", "montage", 20, 2),
+        ];
+        assert_ne!(subs[0].spec.build().unwrap(), subs[1].spec.build().unwrap());
+        let mut memo = PreparedMemo::new();
+        let mut overflows = 0;
+        // One worker's two shards share its memo; the reference builds
+        // every workflow afresh.
+        let mut with_memo = [ShardState::new(0), ShardState::new(1)];
+        let mut without = [ShardState::new(0), ShardState::new(1)];
+        for (i, s) in subs.iter().enumerate() {
+            let held_before = memo.held;
+            with_memo[i % 2].process(i as u64, s, &cfg, &mut memo);
+            without[i % 2].process(i as u64, s, &cfg, &mut PreparedMemo::new());
+            assert!(memo.held <= MEMO_BUDGET_ACTIVATIONS, "after submission {i}: {}", memo.held);
+            let held: usize = memo.map.values().map(|p| p.workflow.len()).sum();
+            assert_eq!(memo.held, held, "after submission {i}");
+            overflows += usize::from(memo.held < held_before);
+        }
+        assert!(overflows >= 2, "the list overflows the budget twice, saw {overflows}");
+        assert!(!memo.map.contains_key(&subs[8].spec), "an oversized workflow is not held");
+        for (x, y) in with_memo.into_iter().zip(without) {
+            let (x, y) = (x.into_output(), y.into_output());
+            assert_eq!(x.trace, y.trace, "shard {} trace", x.shard);
+            assert_same_plans(&x, &y);
+            assert_eq!((x.cache_hits, x.cache_misses), (y.cache_hits, y.cache_misses));
+            assert!(x.completed.iter().all(|c| c.error.is_none()));
+        }
+    }
+
+    #[test]
+    fn a_dax_file_is_read_again_for_every_submission() {
+        let cfg = quick_cfg();
+        let path = std::env::temp_dir().join(format!("svc-shard-dax-{}.xml", std::process::id()));
+        let dax = Submission {
+            spec: WorkflowSpec::Dax { path: path.to_str().unwrap().into() },
+            ..sub("acme", "", 0, 1)
+        };
+        let mut shard = ShardState::new(0);
+        let mut memo = PreparedMemo::new();
+        let mut lens = Vec::new();
+        for (seq, size) in [20, 30].into_iter().enumerate() {
+            let wf = sub("acme", "montage", size, 1).spec.build().unwrap();
+            std::fs::write(&path, workflow::dax::write(&wf)).unwrap();
+            lens.push(wf.len() as u32);
+            shard.process(seq as u64, &dax, &cfg, &mut memo);
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(memo.map.is_empty(), "a DAX spec is never remembered");
+        let out = shard.into_output();
+        assert_ne!(lens[0], lens[1]);
+        for (done, len) in out.completed.iter().zip(lens) {
+            assert_eq!(done.error, None);
+            assert_eq!(done.activations, len, "the file as it was when submitted");
+            assert!(!done.cache_hit, "a different activation count is a different cache line");
         }
     }
 }

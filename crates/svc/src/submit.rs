@@ -6,7 +6,7 @@ use wfcommon::{Error, Result};
 use workflow::Workflow;
 
 /// What workflow a submission asks the service to plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum WorkflowSpec {
     /// Generate from one of the named families
     /// (`montage`/`cybershake`/`epigenomics`/`inspiral`/`sipht`/

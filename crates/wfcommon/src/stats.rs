@@ -123,13 +123,18 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation of a slice (0 when < 2 elements).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
+/// Population standard deviation of a sequence (0 when < 2 elements),
+/// in two passes — mean, then squared deviations, each summed in
+/// sequence order — over an iterator rather than a slice, so a caller
+/// on a hot path need not collect one.
+pub fn stddev(xs: impl Iterator<Item = f64> + Clone) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = xs.clone().inspect(|_| n += 1).sum();
+    if n < 2 {
         return 0.0;
     }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
+    let m = sum / n as f64;
+    (xs.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64).sqrt()
 }
 
 /// Median of a slice (0 when empty). Sorts a copy.
@@ -213,8 +218,9 @@ mod tests {
     fn slice_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
+        assert_eq!(stddev([5.0].into_iter()), 0.0);
+        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        assert!((stddev(xs.into_iter()) - 2.0).abs() < 1e-12);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);

@@ -90,10 +90,14 @@ impl ExecHistory {
     /// Standard deviation of the per-VM performance indices (over VMs
     /// with at least one sample). Zero when fewer than two VMs have
     /// history.
+    ///
+    /// Computed over the indices as they are derived, not a collected
+    /// `Vec` (this runs once per completion): the same values summed in
+    /// the same order as the collected slice was, so bit-equal to it.
     pub fn stdv_pi(&self, mu: f64) -> f64 {
-        let pis: Vec<f64> =
-            (0..self.vm_count()).filter_map(|i| self.vm_pi(VmId::from_index(i), mu)).collect();
-        wfcommon::stats::stddev(&pis)
+        wfcommon::stats::stddev(
+            (0..self.vm_count()).filter_map(|i| self.vm_pi(VmId::from_index(i), mu)),
+        )
     }
 
     /// Merge another history into this one (e.g. carry statistics from
@@ -148,6 +152,15 @@ mod tests {
         h.record(VmId::new(1), 20.0, 0.0);
         // VM 2 has no samples; stdv over {10, 20} = 5.
         assert!((h.stdv_pi(1.0) - 5.0).abs() < 1e-12);
+        // Bit-equal to the textbook two-pass form over the collected
+        // indices, on values that do not sum exactly.
+        for (i, te) in [0.1, 0.7, 1.3, 2.9, 0.3].into_iter().enumerate() {
+            h.record(VmId::new(i as u32 % 3), te, te / 3.0);
+        }
+        let pis: Vec<f64> = (0..3).filter_map(|i| h.vm_pi(VmId::new(i), 0.3)).collect();
+        let mean = pis.iter().sum::<f64>() / pis.len() as f64;
+        let var = pis.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / pis.len() as f64;
+        assert_eq!(h.stdv_pi(0.3).to_bits(), var.sqrt().to_bits());
     }
 
     #[test]
