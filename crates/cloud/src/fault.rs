@@ -8,9 +8,12 @@
 //!
 //! * **VM crashes** — a VM dies, every activation in flight on it is
 //!   lost, and the VM stays down for a repair interval before coming
-//!   back. Crash times are pre-sampled per VM as a Poisson process
-//!   (the [`crate::MigrationModel`] idiom), so a schedule is fixed by
-//!   the seed alone and never depends on simulation order.
+//!   back. Each VM's crash instants are a Poisson process drawn from a
+//!   stream of its own, so the schedule is a function of
+//!   `(seed, vm, idx)` alone and never depends on simulation order;
+//!   [`FaultModel::crash`] samples instant `idx` when a run reaches it,
+//!   and [`FaultModel::crashes`] — the same step run to the horizon —
+//!   is the definition.
 //! * **Stragglers** — an attempt runs on degraded hardware and takes a
 //!   multiple of its nominal time. Drawn as a pure counter-RNG
 //!   function of `(seed, activation, vm, attempt)` in the
@@ -24,8 +27,10 @@
 //! Recovery knobs (retry backoff, per-attempt timeout, blacklist
 //! threshold) live here too so every engine shares one policy source.
 
+use rand::Rng as _;
 use serde::{Deserialize, Serialize};
 use wfcommon::ids::Idx;
+use wfcommon::rng::Rng;
 use wfcommon::{ActivationId, SeedDerivation, SimTime, VmId};
 
 use crate::failure::mix;
@@ -168,58 +173,92 @@ impl FaultConfig {
     }
 }
 
-/// Deterministic fault injector: pre-sampled crash schedules plus pure
-/// counter-RNG straggler / lost-ack draws.
+/// One VM's crash process: its `"faults-crash"` stream, and how far
+/// [`FaultModel::crash`] has run it.
+#[derive(Clone, Debug)]
+struct CrashStream {
+    rng: Rng,
+    /// The process clock: the end of the last repair, from where the
+    /// next time-to-crash is drawn.
+    t: f64,
+    /// How many instants have been sampled (the `idx` the next step
+    /// yields).
+    sampled: usize,
+    /// Instant `sampled - 1`.
+    last: SimTime,
+}
+
+impl CrashStream {
+    fn start(seeds: SeedDerivation, vm: usize) -> Self {
+        Self {
+            rng: seeds.rng_for("faults-crash", vm as u64),
+            t: 0.0,
+            sampled: 0,
+            last: SimTime::ZERO,
+        }
+    }
+
+    /// The one sampling step: the next crash instant of this VM, or
+    /// `None` once the process has run past `horizon` (and on every
+    /// later call: the clock only moves forward).
+    fn step(&mut self, config: &FaultConfig, horizon: SimTime) -> Option<SimTime> {
+        let rate_per_sec = 1.0 / (config.vm_mtbf_hours * 3600.0);
+        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        self.t += -u.ln() / rate_per_sec;
+        if self.t > horizon.as_secs() {
+            return None;
+        }
+        let at = SimTime(self.t);
+        // The VM is down (not exposed to crashes) while under repair.
+        self.t += config.repair_secs;
+        Some(at)
+    }
+}
+
+/// Deterministic fault injector: per-VM crash schedules sampled as a
+/// run reaches them, plus pure counter-RNG straggler / lost-ack draws.
 #[derive(Clone, Debug)]
 pub struct FaultModel {
     config: FaultConfig,
     seed: u64,
-    /// Per-VM crash instants, sorted ascending. Consecutive crashes on
-    /// one VM are at least `repair_secs` apart (a VM cannot crash
-    /// while it is already down).
-    crashes: Vec<Vec<SimTime>>,
+    seeds: SeedDerivation,
+    horizon: SimTime,
+    /// One crash process per VM; empty when crashes are disabled.
+    /// Consecutive crashes on one VM are at least `repair_secs` apart
+    /// (a VM cannot crash while it is already down).
+    streams: Vec<CrashStream>,
 }
 
 impl FaultModel {
     /// Build the injector for `vm_count` VMs over `[0, horizon]`.
-    /// Crash instants are fixed here, per VM, from the seed alone.
+    /// Crash instants are fixed here, per VM, by the seed alone; none
+    /// is drawn until [`Self::crash`] asks for it.
     pub fn new(
         config: FaultConfig,
         vm_count: usize,
         horizon: SimTime,
         seeds: SeedDerivation,
     ) -> Self {
-        // Crash-free configs keep the outer schedule empty instead of
-        // holding one empty list per VM — `crashes()` already treats a
-        // missing entry as "no crashes", and learning loops rebuild the
-        // model every episode, so the inert path must not allocate.
-        let mut crashes =
-            if config.vm_mtbf_hours > 0.0 { vec![Vec::new(); vm_count] } else { Vec::new() };
-        if config.vm_mtbf_hours > 0.0 {
-            let rate_per_sec = 1.0 / (config.vm_mtbf_hours * 3600.0);
-            for (vm, list) in crashes.iter_mut().enumerate() {
-                let mut rng = seeds.rng_for("faults-crash", vm as u64);
-                let mut t = 0.0f64;
-                loop {
-                    use rand::Rng as _;
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    t += -u.ln() / rate_per_sec;
-                    if t > horizon.as_secs() {
-                        break;
-                    }
-                    list.push(SimTime(t));
-                    // The VM is down (not exposed to crashes) while
-                    // under repair.
-                    t += config.repair_secs;
-                }
-            }
-        }
-        Self { config, seed: seeds.seed_for("faults", 0), crashes }
+        // Learning loops rebuild the model every episode, so the
+        // crash-free path must not allocate: no streams at all, which
+        // every query below reads as "no crashes".
+        let streams = if config.vm_mtbf_hours > 0.0 {
+            (0..vm_count).map(|vm| CrashStream::start(seeds, vm)).collect()
+        } else {
+            Vec::new()
+        };
+        Self { config, seed: seeds.seed_for("faults", 0), seeds, horizon, streams }
     }
 
     /// An injector that never faults.
     pub fn none() -> Self {
-        Self { config: FaultConfig::none(), seed: 0, crashes: Vec::new() }
+        Self {
+            config: FaultConfig::none(),
+            seed: 0,
+            seeds: SeedDerivation::new(0),
+            horizon: SimTime::ZERO,
+            streams: Vec::new(),
+        }
     }
 
     /// The config this model was built with.
@@ -227,15 +266,41 @@ impl FaultModel {
         &self.config
     }
 
-    /// Pre-sampled crash instants for `vm`, sorted ascending. Empty
-    /// for VMs beyond the sampled fleet or when crashes are disabled.
-    pub fn crashes(&self, vm: VmId) -> &[SimTime] {
-        self.crashes.get(vm.index()).map_or(&[], Vec::as_slice)
+    /// Crash instant `idx` of `vm` — `crashes(vm)[idx]` — or `None`
+    /// past the end of its schedule, for VMs beyond the fleet, and when
+    /// crashes are disabled. Samples only up to `idx`, and remembers
+    /// where it stopped: asking in ascending `idx` order, as the engines
+    /// do, draws each instant once. Any other order gets the same
+    /// answers by replaying the VM's stream from its seed.
+    pub fn crash(&mut self, vm: VmId, idx: usize) -> Option<SimTime> {
+        let stream = self.streams.get_mut(vm.index())?;
+        if idx + 1 < stream.sampled {
+            *stream = CrashStream::start(self.seeds, vm.index());
+        }
+        while stream.sampled <= idx {
+            stream.last = stream.step(&self.config, self.horizon)?;
+            stream.sampled += 1;
+        }
+        Some(stream.last)
     }
 
-    /// Total pre-sampled crash count across the fleet.
+    /// The whole crash schedule of `vm` over the horizon, ascending:
+    /// the sampling step run to exhaustion on a fresh copy of the VM's
+    /// stream. This is the definition [`Self::crash`] answers from, and
+    /// the tests' oracle; a run should ask for the instants it reaches
+    /// instead. Empty for VMs beyond the fleet or when crashes are
+    /// disabled.
+    pub fn crashes(&self, vm: VmId) -> Vec<SimTime> {
+        if vm.index() >= self.streams.len() {
+            return Vec::new();
+        }
+        let mut stream = CrashStream::start(self.seeds, vm.index());
+        std::iter::from_fn(|| stream.step(&self.config, self.horizon)).collect()
+    }
+
+    /// Total crash count across the fleet over the horizon.
     pub fn crash_count(&self) -> usize {
-        self.crashes.iter().map(Vec::len).sum()
+        (0..self.streams.len()).map(|vm| self.crashes(VmId::from_index(vm)).len()).sum()
     }
 
     /// The uniform variate in `[0, 1)` behind one salted draw.
@@ -370,6 +435,75 @@ mod tests {
         }
         let other = model(c, 43);
         assert_ne!(a.crashes(VmId::new(0)), other.crashes(VmId::new(0)));
+    }
+
+    #[test]
+    fn crash_on_demand_is_the_schedule_in_any_vm_order() {
+        for config in [FaultConfig::none(), FaultConfig::mild(), FaultConfig::heavy()] {
+            for seed in 0..8 {
+                for vms in [1, 9, 15] {
+                    for horizon_secs in [0.0, 3600.0, 86_400.0] {
+                        check_crash_on_demand(config, seed, vms, horizon_secs);
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_crash_on_demand(config: FaultConfig, seed: u64, vms: usize, horizon_secs: f64) {
+        let mtbf = config.vm_mtbf_hours;
+        let case = format!("mtbf {mtbf} h, seed {seed}, {vms} VMs, horizon {horizon_secs} s");
+        let seeds = SeedDerivation::new(seed);
+        let horizon = SimTime(horizon_secs);
+        let mut m = FaultModel::new(config, vms, horizon, seeds);
+        let schedule: Vec<Vec<SimTime>> =
+            (0..vms).map(|vm| m.crashes(VmId::from_index(vm))).collect();
+        assert_eq!(m.crash_count(), schedule.iter().map(Vec::len).sum::<usize>(), "{case}");
+        if config.vm_mtbf_hours == 0.0 || horizon_secs == 0.0 {
+            assert_eq!(m.crash_count(), 0, "{case}");
+        } else if horizon_secs > 3600.0 {
+            assert!(schedule.iter().all(|list| !list.is_empty()), "{case}");
+        }
+
+        // Every VM in ascending `idx`, the VMs interleaved at random,
+        // each until it has answered `None` twice.
+        let mut next = vec![0usize; vms];
+        let mut open: Vec<usize> = (0..vms).collect();
+        let mut order = seeds.rng_for("test-ask-order", 0);
+        while !open.is_empty() {
+            let pick = order.gen_range(0..open.len());
+            let vm = open[pick];
+            let got = m.crash(VmId::from_index(vm), next[vm]);
+            assert_eq!(got, schedule[vm].get(next[vm]).copied(), "{case}, vm {vm}");
+            if next[vm] > schedule[vm].len() {
+                open.swap_remove(pick);
+            }
+            next[vm] += 1;
+        }
+        // Asking did not move the definition.
+        for (vm, list) in schedule.iter().enumerate() {
+            assert_eq!(&m.crashes(VmId::from_index(vm)), list, "{case}, vm {vm}");
+        }
+        // Going back is answered by replaying the stream.
+        let last_vm = VmId::from_index(vms - 1);
+        assert_eq!(m.crash(last_vm, 0), schedule[vms - 1].first().copied(), "{case}");
+        assert_eq!(m.crash(last_vm, 1), schedule[vms - 1].get(1).copied(), "{case}");
+
+        // A VM's schedule does not depend on what the others were asked.
+        if vms > 7 {
+            let mut solo = FaultModel::new(config, vms, horizon, seeds);
+            for idx in 0..schedule[7].len() + 2 {
+                assert_eq!(
+                    solo.crash(VmId::new(7), idx),
+                    schedule[7].get(idx).copied(),
+                    "{case}, idx {idx}"
+                );
+            }
+        }
+        // A VM the fleet does not have never crashes — and never panics.
+        assert_eq!(m.crash(VmId::from_index(vms), 0), None, "{case}");
+        assert_eq!(m.crash(VmId::new(u32::MAX), 3), None, "{case}");
+        assert!(m.crashes(VmId::from_index(vms)).is_empty(), "{case}");
     }
 
     #[test]

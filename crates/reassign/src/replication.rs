@@ -82,16 +82,9 @@ impl ReplHeadTrainer {
 
     /// Trust-region candidates for `bucket`, in play order: the prior
     /// action first, then its clamped ±1 neighbors.
-    fn candidates(&self, bucket: usize) -> Vec<u32> {
+    fn candidates(&self, bucket: usize) -> impl Iterator<Item = u32> {
         let p = self.prior.extra(bucket);
-        let mut c = vec![p];
-        if p > 0 {
-            c.push(p - 1);
-        }
-        if p < REPL_MAX_EXTRA {
-            c.push(p + 1);
-        }
-        c
+        [Some(p), p.checked_sub(1), (p < REPL_MAX_EXTRA).then_some(p + 1)].into_iter().flatten()
     }
 
     /// The table the *next* training episode should run under: per
@@ -101,7 +94,7 @@ impl ReplHeadTrainer {
     pub fn policy_next(&self) -> ReplicationPolicy {
         let mut table = ReplTable::zeros();
         for b in 0..REPL_STATES {
-            let explore = self.candidates(b).into_iter().find(|&a| self.n[b][a as usize] == 0);
+            let explore = self.candidates(b).find(|&a| self.n[b][a as usize] == 0);
             table.set(b, explore.unwrap_or_else(|| self.converged_action(b)));
         }
         ReplicationPolicy::Learned { table }
@@ -254,5 +247,65 @@ mod tests {
             t.observe(&[decision(MID, p, 0.0, 0.0, true), decision(MID, p + 1, 0.0, 2.0, false)]);
         }
         assert_eq!(extra_of(&t.policy(), b), p + 1, "failure penalty moves the head");
+    }
+
+    /// `policy_next`/`policy` as they read when `candidates` built a
+    /// `Vec` per call: the oracle for the allocation-free iterator.
+    fn transcription(t: &ReplHeadTrainer) -> (ReplicationPolicy, ReplicationPolicy) {
+        let candidates = |b: usize| {
+            let p = t.prior.extra(b);
+            let mut c = vec![p];
+            if p > 0 {
+                c.push(p - 1);
+            }
+            if p < REPL_MAX_EXTRA {
+                c.push(p + 1);
+            }
+            c
+        };
+        let converged = |b: usize| {
+            let prior_a = t.prior.extra(b);
+            if t.n[b][prior_a as usize] == 0 {
+                return prior_a;
+            }
+            let (mut best, mut best_q) = (prior_a, t.q[b][prior_a as usize] + PRIOR_MARGIN);
+            for a in candidates(b) {
+                if a != prior_a && t.n[b][a as usize] > 0 && t.q[b][a as usize] > best_q {
+                    (best, best_q) = (a, t.q[b][a as usize]);
+                }
+            }
+            best
+        };
+        let (mut next, mut settled) = (ReplTable::zeros(), ReplTable::zeros());
+        for b in 0..REPL_STATES {
+            let explore = candidates(b).into_iter().find(|&a| t.n[b][a as usize] == 0);
+            next.set(b, explore.unwrap_or_else(|| converged(b)));
+            settled.set(b, converged(b));
+        }
+        (ReplicationPolicy::Learned { table: next }, ReplicationPolicy::Learned { table: settled })
+    }
+
+    #[test]
+    fn policies_match_the_vec_transcription_over_a_seeded_stream() {
+        use rand::Rng as _;
+        let mut rng = wfcommon::SeedDerivation::new(2019).rng_for("repl-head-test", 0);
+        let mut t = ReplHeadTrainer::new(&ReplicationPolicy::learned_heuristic(), 10.0);
+        let mut moved_off_prior = false;
+        for call in 0..1000 {
+            let decisions: Vec<ReplDecision> = (0..rng.gen_range(0..4usize))
+                .map(|_| {
+                    // One bucket past the grid: `observe` must skip it.
+                    let bucket = rng.gen_range(0..REPL_STATES as u32 + 1) as u8;
+                    let requested = rng.gen_range(0..REPL_MAX_EXTRA + 1);
+                    let benefit = rng.gen_range(-5.0..20.0);
+                    let waste = rng.gen_range(0.0..40.0);
+                    decision(bucket, requested, benefit, waste, rng.gen_range(0..10u32) == 0)
+                })
+                .collect();
+            t.observe(&decisions);
+            assert_eq!((t.policy_next(), t.policy()), transcription(&t), "after call {call}");
+            moved_off_prior |= t.policy() != ReplicationPolicy::learned_heuristic();
+        }
+        assert!(moved_off_prior, "the stream must carry evidence that moves some bucket");
     }
 }

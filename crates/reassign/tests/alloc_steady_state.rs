@@ -192,3 +192,50 @@ fn parallel_steady_state_rounds_allocate_no_more_than_serial() {
          (short/long: serial {serial_short}/{serial_long}, parallel {par_short}/{par_long})"
     );
 }
+
+#[test]
+fn a_faulty_replicated_episode_allocates_little_more_than_a_fault_free_one() {
+    let _turn = TURN.lock().unwrap();
+    let wf = montage50();
+    let fleet = Fleet::paper_16_vcpus();
+    // The benchmark's `learn-faulty` configuration.
+    let faulty = SimConfig {
+        faults: cloud::FaultConfig::heavy(),
+        max_retries: 30,
+        replication: cloud::ReplicationPolicy::learned_heuristic(),
+        ..SimConfig::default()
+    };
+    let cfg = |episodes: u32| ReassignConfig {
+        episodes,
+        failure_penalty: 10.0,
+        ..ReassignConfig::default()
+    };
+    // Long run minus short run: set-up, the final greedy replay and the
+    // capacities the first episodes grow cancel; what is left is what
+    // one more episode allocates.
+    let per_episode = |sim: &SimConfig| {
+        learn(&wf, &fleet, "16vcpus", &cfg(40), sim, None).unwrap();
+        let short = allocs_during(|| {
+            learn(&wf, &fleet, "16vcpus", &cfg(40), sim, None).unwrap();
+        });
+        let long = allocs_during(|| {
+            learn(&wf, &fleet, "16vcpus", &cfg(140), sim, None).unwrap();
+        });
+        long.saturating_sub(short) as f64 / 100.0
+    };
+    // Fault-free, an episode's allocations are the engine's own: the
+    // fluctuation model, the history it starts from, and the plan,
+    // records and busy-time vectors that leave in the `SimResult`.
+    let fault_free = per_episode(&SimConfig::default());
+    assert!(fault_free <= 8.0, "fault-free episodes allocate {fault_free} times each");
+    // Crashes and the learned replication head add the crash streams
+    // (one vector), the decision list that leaves in the `SimResult`
+    // (one vector, regrown in the episodes whose retries push it past
+    // one decision per activation) and the next episode's replication
+    // table. Before crash instants were sampled on demand and the
+    // replication groups moved into the arena this read 228: a schedule
+    // vector per VM, a group vector per dispatch, a candidate list per
+    // bucket per episode.
+    let faulty = per_episode(&faulty);
+    assert!(faulty <= 16.0, "faulty, replicated episodes allocate {faulty} times each");
+}

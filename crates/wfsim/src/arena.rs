@@ -3,21 +3,26 @@
 //! A learning run executes the same workflow thousands of times; most
 //! of the engine's working memory (event queue, per-activation state,
 //! per-VM counters, the ready set kept across the episode, the idle
-//! slots listed at every consultation) has the same shape every
-//! episode. A [`SimArena`] owns those buffers
+//! slots listed at every consultation, the replication groups) has the
+//! same shape every episode. A [`SimArena`] owns those buffers
 //! so repeated [`crate::engine::simulate_cached`] calls reset them in
 //! place instead of reallocating. Arenas are cheap to create and are
 //! *not* shared between threads — in a parallel learner each worker
 //! keeps its own.
 
-use crate::engine::{AcState, Ev};
+use crate::engine::{AcState, Ev, PendingDecision, RepAttempt};
 use simkit::Simulation;
 use wfcommon::{ActivationId, VmId};
 
 /// Scratch space for one simulation at a time (see module docs).
 ///
 /// Every field is fully reinitialized by the engine before use, so a
-/// reused arena produces bitwise-identical results to a fresh one.
+/// reused arena produces bitwise-identical results to a fresh one. The
+/// `repl_*` vectors are the exception that proves it: a run with
+/// replication [`cloud::ReplicationPolicy::Off`] reads none of them and
+/// does no per-activation work on them (no O(n) for a feature that is
+/// off), so `repl_groups` holds whatever the last replicating run left
+/// until the next one resets it, for its own `n`, before use.
 #[derive(Default)]
 pub struct SimArena {
     /// Simulation clock + event queue.
@@ -48,6 +53,14 @@ pub struct SimArena {
     /// Idle-slot buffer, refilled by an O(|VM|) scan of `free_pes` at
     /// every consultation.
     pub(crate) idle: Vec<(VmId, u32)>,
+    /// Live attempts of each activation's replication group. Grows to
+    /// the largest workflow run so far; the inner vectors are cleared,
+    /// never dropped, so they stop allocating after the first episodes.
+    pub(crate) repl_groups: Vec<Vec<RepAttempt>>,
+    /// Per-activation replica launch ordinals.
+    pub(crate) repl_seq: Vec<u32>,
+    /// Per-activation replication decision awaiting its outcome.
+    pub(crate) repl_pending: Vec<Option<PendingDecision>>,
 }
 
 impl SimArena {
@@ -57,7 +70,9 @@ impl SimArena {
     }
 
     /// Clear every buffer, keeping allocations. The engine repopulates
-    /// them to match the workflow/fleet it is asked to run.
+    /// them to match the workflow/fleet it is asked to run. (The
+    /// `repl_*` vectors are reset where a replicating run starts:
+    /// `engine::ReplState::new`.)
     pub(crate) fn reset(&mut self) {
         self.sim.reset();
         self.states.clear();

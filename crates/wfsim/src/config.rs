@@ -61,8 +61,9 @@ pub struct SimConfig {
     pub fluctuation: FluctuationKind,
     /// Live-migration model.
     pub migration: MigrationKind,
-    /// Horizon (seconds) over which migration events are pre-sampled.
-    /// Must comfortably exceed the expected makespan.
+    /// Horizon (seconds) over which migration events are pre-sampled
+    /// and VM crash schedules run. Must comfortably exceed the expected
+    /// makespan.
     pub migration_horizon_secs: f64,
     /// Safety bound on processed events (runaway guard).
     pub max_events: u64,

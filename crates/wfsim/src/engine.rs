@@ -44,9 +44,10 @@ pub(crate) enum Ev {
     },
     /// A VM finished booting; its processing elements come online.
     VmReady { vm: VmId, pes: u32 },
-    /// A pre-sampled VM crash fires. `idx` is the position in the VM's
-    /// crash schedule so the next one can be chained lazily (keeping
-    /// the event heap small instead of loading the whole horizon).
+    /// A VM crash fires. `idx` is its position in the VM's crash
+    /// schedule, so the next one can be asked for — and only then
+    /// sampled — when this one fires (the event heap holds one crash per
+    /// VM, not the whole horizon).
     Crash { vm: VmId, idx: usize },
     /// A crashed VM completed repair; `pes` elements return.
     Repair { vm: VmId, pes: u32 },
@@ -75,7 +76,7 @@ pub(crate) enum AcState {
 
 /// One live attempt of a speculative-replication group.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct RepAttempt {
+pub(crate) struct RepAttempt {
     attempt: u32,
     vm: VmId,
     started_at: SimTime,
@@ -83,7 +84,7 @@ struct RepAttempt {
 
 /// A replication decision whose outcome has not resolved yet.
 #[derive(Debug, Clone, Copy)]
-struct PendingDecision {
+pub(crate) struct PendingDecision {
     bucket: u8,
     requested: u8,
     launched: u8,
@@ -93,19 +94,24 @@ struct PendingDecision {
 }
 
 /// All engine-side replication state, carried alongside the legacy
-/// per-activation arrays. Inert (`active == false`, empty vectors)
-/// when the policy is [`cloud::ReplicationPolicy::Off`], in which case
-/// every event handler takes the exact legacy code path.
-struct ReplState {
+/// per-activation arrays. The per-activation vectors are the arena's
+/// (`SimArena::{repl_groups, repl_seq, repl_pending}`), reset in place
+/// here for the `n` activations of this run; what the run reports
+/// (`stats`, `decisions`) is owned and leaves in the [`SimResult`].
+/// Inert (`active == false`) when the policy is
+/// [`cloud::ReplicationPolicy::Off`]: the per-activation slices are then
+/// empty views, nothing behind them is sized or reset, and no event
+/// handler reads them — each takes the exact legacy code path.
+struct ReplState<'a> {
     active: bool,
     /// Live attempts per activation (primary first, in launch order).
-    groups: Vec<Vec<RepAttempt>>,
+    groups: &'a mut [Vec<RepAttempt>],
     /// Per-activation replica launch ordinal — replica attempt ids are
     /// `REPLICA_ATTEMPT_BASE + ordinal`, disjoint from retry counts
     /// and never reused across a task's dispatches.
-    rep_seq: Vec<u32>,
+    rep_seq: &'a mut [u32],
     /// Decision awaiting resolution, per activation.
-    pending: Vec<Option<PendingDecision>>,
+    pending: &'a mut [Option<PendingDecision>],
     /// Workflow-wide critical path (top of the downward-rank order),
     /// the denominator of the slack feature.
     cp_total: f64,
@@ -113,22 +119,37 @@ struct ReplState {
     decisions: Vec<ReplDecision>,
 }
 
-impl ReplState {
-    fn new(n: usize, active: bool, cache: &WorkflowCache) -> Self {
-        let (groups, rep_seq, pending, cp_total) = if active {
-            let cp = (0..n).map(|i| cache.rank(i)).fold(0.0f64, f64::max);
-            (vec![Vec::new(); n], vec![0; n], vec![None; n], cp)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), 0.0)
-        };
+impl<'a> ReplState<'a> {
+    fn new(
+        n: usize,
+        active: bool,
+        cache: &WorkflowCache,
+        groups: &'a mut Vec<Vec<RepAttempt>>,
+        rep_seq: &'a mut Vec<u32>,
+        pending: &'a mut Vec<Option<PendingDecision>>,
+    ) -> Self {
+        // An `Off` run sizes and resets nothing: its `n` is 0 here.
+        // Otherwise whatever an earlier run left behind — another
+        // policy, a larger workflow — goes; the inner vectors keep their
+        // capacity, so a steady-state episode allocates nothing here.
+        let n = if active { n } else { 0 };
+        if groups.len() < n {
+            groups.resize_with(n, Vec::new);
+        }
+        groups[..n].iter_mut().for_each(Vec::clear);
+        rep_seq.clear();
+        rep_seq.resize(n, 0);
+        pending.clear();
+        pending.resize(n, None);
         Self {
             active,
-            groups,
+            groups: &mut groups[..n],
             rep_seq,
             pending,
-            cp_total,
+            cp_total: (0..n).map(|i| cache.rank(i)).fold(0.0f64, f64::max),
             stats: ReplStats::default(),
-            decisions: Vec::new(),
+            // One decision per dispatch: `n` plus the retries.
+            decisions: Vec::with_capacity(n),
         }
     }
 
@@ -275,9 +296,10 @@ pub fn simulate_cached_traced(
         }
     };
     let failures = FailureModel::new(config.failure_prob, config.max_retries, seeds);
-    // Crash schedules are pre-sampled over the same horizon as
-    // migrations; straggler/lost-ack draws inside are pure counter-RNG.
-    let faults =
+    // Crash schedules run over the same horizon as migrations, sampled
+    // as the run reaches them; straggler/lost-ack draws are pure
+    // counter-RNG.
+    let mut faults =
         FaultModel::new(config.faults, fleet.len(), SimTime(config.migration_horizon_secs), seeds);
     let faults_active = !config.faults.is_inert();
     let migrations = match config.migration {
@@ -307,6 +329,9 @@ pub fn simulate_cached_traced(
         vm_busy_secs,
         ready,
         idle,
+        repl_groups,
+        repl_seq,
+        repl_pending,
     } = arena;
 
     tracer.emit_with(|| TraceEvent::SimStart { activations: n as u32, vms: fleet.len() as u32 });
@@ -350,7 +375,14 @@ pub fn simulate_cached_traced(
     let mut workflow_failed = false;
     let mut running: usize = 0; // attempts currently occupying a PE
     let mut stats = FaultStats::default();
-    let mut repl = ReplState::new(n, config.replication.is_active(), cache);
+    let mut repl = ReplState::new(
+        n,
+        config.replication.is_active(),
+        cache,
+        repl_groups,
+        repl_seq,
+        repl_pending,
+    );
 
     if booting {
         use rand::Rng as _;
@@ -365,9 +397,9 @@ pub fn simulate_cached_traced(
     }
 
     // Seed each VM's first crash; the rest of its schedule is chained
-    // lazily as crashes fire (empty schedules when crashes are off).
+    // as crashes fire (no crash at all when crashes are off).
     for (vm_id, _) in fleet.iter() {
-        if let Some(&t0) = faults.crashes(vm_id).first() {
+        if let Some(t0) = faults.crash(vm_id, 0) {
             sim.schedule(t0, Ev::Crash { vm: vm_id, idx: 0 })?;
         }
     }
@@ -499,7 +531,8 @@ pub fn simulate_cached_traced(
                     } else {
                         // Winner. Cancel every surviving sibling,
                         // billing its occupied PE-seconds as waste.
-                        for a in repl.groups[i].clone() {
+                        for k in 0..repl.groups[i].len() {
+                            let a = repl.groups[i][k];
                             let cv = a.vm.index();
                             let billed = (now - a.started_at).as_secs();
                             tracer.emit_with(|| TraceEvent::Cancel {
@@ -756,7 +789,7 @@ pub fn simulate_cached_traced(
                             SimTime(config.faults.repair_secs),
                             Ev::Repair { vm, pes: restore },
                         )?;
-                        if let Some(&t_next) = faults.crashes(vm).get(idx + 1) {
+                        if let Some(t_next) = faults.crash(vm, idx + 1) {
                             sim.schedule(t_next, Ev::Crash { vm, idx: idx + 1 })?;
                         }
                     }
@@ -1847,10 +1880,9 @@ mod tests {
 
     #[test]
     fn reused_arena_matches_fresh_under_faults() {
-        let wf = montage();
+        use obs::{MemSink, Tracer};
+        use workflow::generators::montage::{generate, MontageParams};
         let fleet = Fleet::paper_16_vcpus();
-        let cache = WorkflowCache::new(&wf).unwrap();
-        let mut arena = SimArena::new();
         let cfg = SimConfig {
             max_retries: 20,
             faults: cloud::FaultConfig {
@@ -1864,17 +1896,120 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        for round in 0..3 {
-            let seeds = SeedDerivation::new(60 + round);
-            let fresh = simulate(&wf, &fleet, &mut Fifo, &cfg, seeds, None).unwrap();
-            let reused =
-                simulate_cached(&wf, &cache, &fleet, &mut Fifo, &cfg, seeds, None, &mut arena)
-                    .unwrap();
-            assert_eq!(fresh.makespan, reused.makespan);
-            assert_eq!(fresh.records, reused.records);
-            assert_eq!(fresh.fault_stats, reused.fault_stats);
-            assert_eq!(fresh.events_processed, reused.events_processed);
+        let sized = |n| generate(&MontageParams::with_total_activations(n, 5).unwrap()).unwrap();
+        let (large, small) = (sized(100), sized(20));
+        let (large_cache, small_cache) =
+            (WorkflowCache::new(&large).unwrap(), WorkflowCache::new(&small).unwrap());
+        // One arena through every replication policy and back, and
+        // through a smaller workflow and back: whatever a run leaves in
+        // the arena — replication groups the `Off` runs never look at,
+        // a hundred of them where the next run has twenty activations —
+        // must not reach the next one.
+        use cloud::ReplicationPolicy::{Off, Static};
+        let learned = cloud::ReplicationPolicy::learned_heuristic;
+        let rounds = [
+            (&large, &large_cache, Off),
+            (&large, &large_cache, Static { k: 2 }),
+            (&large, &large_cache, learned()),
+            (&large, &large_cache, Off),
+            (&small, &small_cache, Static { k: 3 }),
+            (&small, &small_cache, Off),
+            (&large, &large_cache, learned()),
+            (&large, &large_cache, Static { k: 2 }),
+        ];
+        let mut arena = SimArena::new();
+        let mut replicas = 0;
+        for (round, (wf, cache, replication)) in rounds.into_iter().enumerate() {
+            let cfg = SimConfig { replication, ..cfg.clone() };
+            let seeds = SeedDerivation::new(60 + round as u64);
+            let (mut fresh_trace, mut reused_trace) = (MemSink::new(), MemSink::new());
+            let fresh = simulate_traced(
+                wf,
+                &fleet,
+                &mut Fifo,
+                &cfg,
+                seeds,
+                None,
+                &mut Tracer::new(&mut fresh_trace),
+            )
+            .unwrap();
+            let reused = simulate_cached_traced(
+                wf,
+                cache,
+                &fleet,
+                &mut Fifo,
+                &cfg,
+                seeds,
+                None,
+                &mut arena,
+                &mut Tracer::new(&mut reused_trace),
+            )
+            .unwrap();
+            assert_eq!(fresh_trace.as_str(), reused_trace.as_str(), "round {round}");
+            assert_eq!(fresh.makespan, reused.makespan, "round {round}");
+            assert_eq!(fresh.success, reused.success, "round {round}");
+            assert_eq!(fresh.plan, reused.plan, "round {round}");
+            assert_eq!(fresh.records, reused.records, "round {round}");
+            assert_eq!(fresh.vm_busy_secs, reused.vm_busy_secs, "round {round}");
+            assert_eq!(fresh.fault_stats, reused.fault_stats, "round {round}");
+            assert_eq!(fresh.repl_stats, reused.repl_stats, "round {round}");
+            assert_eq!(fresh.repl_decisions, reused.repl_decisions, "round {round}");
+            assert_eq!(fresh.events_processed, reused.events_processed, "round {round}");
+            assert_eq!(
+                cfg.replication.is_active(),
+                reused.repl_stats.launched > 0,
+                "round {round}"
+            );
+            replicas += reused.repl_stats.launched;
         }
+        assert!(replicas > 100, "the replicating rounds must fill the groups: {replicas}");
+    }
+
+    #[test]
+    fn crashes_are_the_schedule_and_stop_at_the_horizon() {
+        use obs::{MemSink, Tracer};
+        let wf = montage();
+        let fleet = Fleet::paper_16_vcpus();
+        let mut cfg = SimConfig::deterministic();
+        cfg.max_retries = 40;
+        cfg.faults = cloud::FaultConfig {
+            vm_mtbf_hours: 0.005, // ~one crash per VM per 18 s
+            repair_secs: 4.0,
+            ..cloud::FaultConfig::none()
+        };
+        // The horizon ends mid-workflow: every crash of the schedule
+        // fires, none after it, and the run completes.
+        cfg.migration_horizon_secs = 40.0;
+        let seeds = SeedDerivation::new(38);
+        let mut sink = MemSink::new();
+        let res =
+            simulate_traced(&wf, &fleet, &mut Fifo, &cfg, seeds, None, &mut Tracer::new(&mut sink))
+                .unwrap();
+        assert!(res.success);
+        assert!(res.makespan.as_secs() > cfg.migration_horizon_secs, "{}", res.makespan);
+
+        // What the engine was handed one instant at a time, against the
+        // definition: the whole schedule of every VM, sampled up front.
+        let horizon = SimTime(cfg.migration_horizon_secs);
+        let schedule = FaultModel::new(cfg.faults, fleet.len(), horizon, seeds);
+        let mut fired: Vec<Vec<SimTime>> = vec![Vec::new(); fleet.len()];
+        for line in sink.as_str().lines().filter(|l| l.contains("\"kind\":\"crash\",\"ac\":-1,")) {
+            // `t` is printed shortest-round-trip, so it parses back exactly.
+            let vm: usize = field(line, "vm").parse().unwrap();
+            fired[vm].push(SimTime(field(line, "t").parse().unwrap()));
+        }
+        for (vm, fired) in fired.iter().enumerate() {
+            assert_eq!(fired, &schedule.crashes(VmId::from_index(vm)), "vm {vm}");
+        }
+        assert_eq!(res.fault_stats.crashes as usize, schedule.crash_count());
+        assert!(schedule.crash_count() >= fleet.len(), "{}", schedule.crash_count());
+    }
+
+    /// The text of scalar field `key` in one JSONL trace line.
+    fn field<'l>(line: &'l str, key: &str) -> &'l str {
+        let pat = format!("\"{key}\":");
+        let rest = &line[line.find(&pat).unwrap() + pat.len()..];
+        &rest[..rest.find([',', '}']).unwrap()]
     }
 
     fn heavy_faults() -> SimConfig {
@@ -1989,14 +2124,7 @@ mod tests {
         )
         .unwrap();
         let trace = sink.as_str();
-        let key_of = |line: &str| {
-            let field = |k: &str| {
-                let pat = format!("\"{k}\":");
-                let rest = &line[line.find(&pat).unwrap() + pat.len()..];
-                rest[..rest.find([',', '}']).unwrap()].to_string()
-            };
-            (field("ac"), field("attempt"), field("vm"))
-        };
+        let key_of = |line| (field(line, "ac"), field(line, "attempt"), field(line, "vm"));
         let mut cancelled = std::collections::HashSet::new();
         let mut launched = 0u64;
         for line in trace.lines() {

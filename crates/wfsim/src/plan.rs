@@ -101,12 +101,17 @@ impl Plan {
 /// real cloud (paper §III-D).
 pub struct FixedPlanScheduler {
     plan: Plan,
+    /// Scratch for [`Scheduler::decide`]: whether each VM of the fleet
+    /// has an idle element at this consultation. Sized by the fleet, not
+    /// by the largest VM id in the plan — a plan is outside input and
+    /// must not size an allocation.
+    vm_idle: Vec<bool>,
 }
 
 impl FixedPlanScheduler {
     /// Wrap a (validated) plan.
     pub fn new(plan: Plan) -> Self {
-        Self { plan }
+        Self { plan, vm_idle: Vec::new() }
     }
 
     /// Borrow the plan.
@@ -120,10 +125,22 @@ impl Scheduler for FixedPlanScheduler {
         "fixed-plan"
     }
 
+    /// The first ready activation whose planned VM has an idle element.
+    /// The idle VMs are marked once, so a consultation is
+    /// O(|ready| + |VM|), where looking each ready activation's VM up in
+    /// `idle_slots` was O(|ready| × |idle|) — and a greedy plan piles
+    /// hundreds of ready activations behind a few VMs.
     fn decide(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
+        self.vm_idle.clear();
+        self.vm_idle.resize(ctx.fleet.len(), false);
+        for &(vm, free) in ctx.idle_slots {
+            if let Some(idle) = self.vm_idle.get_mut(vm.index()) {
+                *idle |= free > 0;
+            }
+        }
         for &ac in ctx.ready {
             if let Some(vm) = self.plan.vm_for(ac) {
-                if ctx.idle_slots.iter().any(|&(v, free)| v == vm && free > 0) {
+                if self.vm_idle.get(vm.index()) == Some(&true) {
                     return Decision::Assign { activation: ac, vm };
                 }
             }
@@ -194,6 +211,27 @@ mod tests {
             s.decide(&ctx),
             Decision::Assign { activation: ActivationId::new(0), vm: VmId::new(3) }
         );
+        // Listed, but with nothing free → wait.
+        let idle = [(VmId::new(3), 0u32), (VmId::new(5), 2)];
+        assert_eq!(s.decide(&SchedulerContext { idle_slots: &idle, ..ctx }), Decision::DoNothing);
+
+        // The first ready activation *whose VM is idle* goes, wherever
+        // it stands in the ready list; an unassigned activation, a plan
+        // entry beyond the fleet and an idle VM beyond the fleet wait.
+        let mut plan = Plan::empty(wf.len());
+        plan.assign(ActivationId::new(1), VmId::new(99));
+        plan.assign(ActivationId::new(2), VmId::new(7));
+        plan.assign(ActivationId::new(3), VmId::new(5));
+        plan.assign(ActivationId::new(4), VmId::new(5));
+        let mut s = FixedPlanScheduler::new(plan);
+        let ready = [0, 1, 2, 3, 4].map(ActivationId::new);
+        let idle = [(VmId::new(5), 1u32), (VmId::new(99), 4)];
+        let ctx = SchedulerContext { ready: &ready, idle_slots: &idle, ..ctx };
+        assert_eq!(
+            s.decide(&ctx),
+            Decision::Assign { activation: ActivationId::new(3), vm: VmId::new(5) }
+        );
+        assert_eq!(s.decide(&SchedulerContext { ready: &ready[..3], ..ctx }), Decision::DoNothing);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! concurrent simulations (it is `Send + Sync`).
 
 use crate::model::Workflow;
-use std::collections::HashSet;
 use wfcommon::ids::Idx;
-use wfcommon::{ActivationId, FileId};
+use wfcommon::ActivationId;
 
 /// Immutable per-workflow lookup tables (see module docs).
 #[derive(Clone, Debug)]
@@ -46,21 +45,38 @@ impl WorkflowCache {
         let mut parent_offsets = Vec::with_capacity(n + 1);
         let mut parent_edges = Vec::new();
         let mut external_input_bytes = Vec::with_capacity(n);
-        let mut produced: HashSet<FileId> = HashSet::new();
+        // File ids are dense, so "is an input of activation i" and "is
+        // produced by a parent of activation i" are one stamp per file
+        // each (the stamp is `i`), not a set rebuilt or a list searched
+        // per activation. The sums are [`Workflow::transfer_bytes`]'s and
+        // the engine's stage-in rule, file for file and in their order.
+        const UNSTAMPED: u32 = u32::MAX;
+        let mut input_of = vec![UNSTAMPED; workflow.files.len()];
+        let mut produced_for = vec![UNSTAMPED; workflow.files.len()];
         for i in 0..n {
             parent_offsets.push(parent_edges.len() as u32);
-            let child = ActivationId::from_index(i);
-            produced.clear();
-            for &p in workflow.dag.preds(i) {
-                let parent = ActivationId::from_index(p);
-                let bytes = workflow.transfer_bytes(parent, child);
-                parent_edges.push((p as u32, bytes));
-                produced.extend(workflow.activations[parent].outputs.iter().copied());
+            let stamp = i as u32;
+            let inputs = &workflow.activations[ActivationId::from_index(i)].inputs;
+            for f in inputs {
+                if let Some(s) = input_of.get_mut(f.index()) {
+                    *s = stamp;
+                }
             }
-            let external: u64 = workflow.activations[child]
-                .inputs
+            for &p in workflow.dag.preds(i) {
+                let mut bytes = 0u64;
+                for &f in &workflow.activations[ActivationId::from_index(p)].outputs {
+                    if input_of.get(f.index()) == Some(&stamp) {
+                        bytes += workflow.files[f].size_bytes;
+                    }
+                    if let Some(s) = produced_for.get_mut(f.index()) {
+                        *s = stamp;
+                    }
+                }
+                parent_edges.push((p as u32, bytes));
+            }
+            let external: u64 = inputs
                 .iter()
-                .filter(|f| !produced.contains(f))
+                .filter(|f| produced_for.get(f.index()) != Some(&stamp))
                 .map(|&f| workflow.files[f].size_bytes)
                 .sum();
             external_input_bytes.push(external);
@@ -127,41 +143,76 @@ impl WorkflowCache {
 mod tests {
     use super::*;
     use crate::montage50::montage50;
+    use std::collections::HashSet;
+    use wfcommon::FileId;
+
+    /// The committed Montage and one generated instance per family:
+    /// joins of many parents, files with several consumers, inputs no
+    /// one produces.
+    fn workflows() -> Vec<Workflow> {
+        use crate::generators::{cybershake, epigenomics, inspiral, montage, sipht};
+        vec![
+            montage50(),
+            montage::generate(&montage::MontageParams::with_total_activations(120, 3).unwrap())
+                .unwrap(),
+            cybershake::generate(
+                &cybershake::CyberShakeParams::with_total_activations(100, 4).unwrap(),
+            )
+            .unwrap(),
+            epigenomics::generate(
+                &epigenomics::EpigenomicsParams::with_total_activations(96, 5).unwrap(),
+            )
+            .unwrap(),
+            inspiral::generate(&inspiral::InspiralParams::with_total_activations(90, 6).unwrap())
+                .unwrap(),
+            sipht::generate(&sipht::SiphtParams::with_total_activations(90, 7).unwrap()).unwrap(),
+        ]
+    }
 
     #[test]
     fn cache_matches_model_queries() {
-        let wf = montage50();
-        let cache = WorkflowCache::new(&wf).unwrap();
-        assert_eq!(cache.len(), wf.len());
-        for i in 0..wf.len() {
-            let ac = ActivationId::from_index(i);
-            assert_eq!(cache.in_degree(i) as usize, wf.dag.in_degree(i));
-            let parents: Vec<usize> = cache.parents(i).iter().map(|&(p, _)| p as usize).collect();
-            assert_eq!(parents, wf.dag.preds(i));
-            for &(p, bytes) in cache.parents(i) {
-                assert_eq!(bytes, wf.transfer_bytes(ActivationId::from_index(p as usize), ac));
+        for wf in workflows() {
+            let cache = WorkflowCache::new(&wf).unwrap();
+            assert_eq!(cache.len(), wf.len());
+            for i in 0..wf.len() {
+                let ac = ActivationId::from_index(i);
+                assert_eq!(cache.in_degree(i) as usize, wf.dag.in_degree(i));
+                let parents: Vec<usize> =
+                    cache.parents(i).iter().map(|&(p, _)| p as usize).collect();
+                assert_eq!(parents, wf.dag.preds(i));
+                for &(p, bytes) in cache.parents(i) {
+                    assert_eq!(
+                        bytes,
+                        wf.transfer_bytes(ActivationId::from_index(p as usize), ac),
+                        "{}: edge {p} -> {i}",
+                        wf.name
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn external_bytes_match_engine_derivation() {
-        let wf = montage50();
-        let cache = WorkflowCache::new(&wf).unwrap();
-        for i in 0..wf.len() {
-            let ac = ActivationId::from_index(i);
-            let produced: HashSet<FileId> =
-                wf.parents(ac).flat_map(|p| wf.activations[p].outputs.iter().copied()).collect();
-            let expected: u64 = wf.activations[ac]
-                .inputs
-                .iter()
-                .filter(|f| !produced.contains(f))
-                .map(|&f| wf.files[f].size_bytes)
-                .sum();
-            assert_eq!(cache.external_input_bytes(i), expected, "activation {i}");
+        for wf in workflows() {
+            let cache = WorkflowCache::new(&wf).unwrap();
+            for i in 0..wf.len() {
+                let ac = ActivationId::from_index(i);
+                let produced: HashSet<FileId> = wf
+                    .parents(ac)
+                    .flat_map(|p| wf.activations[p].outputs.iter().copied())
+                    .collect();
+                let expected: u64 = wf.activations[ac]
+                    .inputs
+                    .iter()
+                    .filter(|f| !produced.contains(f))
+                    .map(|&f| wf.files[f].size_bytes)
+                    .sum();
+                assert_eq!(cache.external_input_bytes(i), expected, "{}: activation {i}", wf.name);
+            }
+            // Entry activations read real inputs from storage.
+            assert!((0..wf.len()).any(|i| cache.external_input_bytes(i) > 0), "{}", wf.name);
         }
-        // Montage's entry activations read real inputs from storage.
-        assert!((0..wf.len()).any(|i| cache.external_input_bytes(i) > 0));
     }
 
     #[test]
