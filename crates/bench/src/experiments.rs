@@ -487,7 +487,7 @@ pub fn sim_event_throughput(seed: u64, min_wall_secs: f64) -> f64 {
     let started = std::time::Instant::now();
     loop {
         let mut s = wfsim::FixedPlanScheduler::new(heft.clone());
-        let res = wfsim::simulate_cached(
+        let res = wfsim::simulate_cached_traced(
             &wf,
             &cache,
             &fleet,
@@ -496,6 +496,7 @@ pub fn sim_event_throughput(seed: u64, min_wall_secs: f64) -> f64 {
             wfcommon::SeedDerivation::new(seed),
             None,
             &mut arena,
+            &mut obs::Tracer::disabled(),
         )
         .expect("throughput probe replay");
         events += res.events_processed;

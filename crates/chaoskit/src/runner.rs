@@ -8,11 +8,11 @@
 //! VMs instead of waiting on a pinned placement.
 
 use crate::invariants::{verify_trace, ChaosPolicy, TraceSummary};
-use cloud::{FaultConfig, Fleet, ReplicationPolicy};
+use cloud::{FaultConfig, Fleet, ReplTable, ReplicationPolicy};
 use obs::{MemSink, TraceEvent, Tracer};
 use wfcommon::ids::Idx;
-use wfcommon::SeedDerivation;
-use wfsim::{simulate_traced, FaultStats, ReplStats, SimConfig, SimResult};
+use wfcommon::{SeedDerivation, SimTime};
+use wfsim::{simulate_traced, FaultStats, ReplDecision, ReplStats, SimConfig, SimResult};
 use workflow::Workflow;
 
 /// One cell of the chaos matrix.
@@ -39,12 +39,19 @@ pub struct CaseOutcome {
     pub seed: u64,
     /// Whether the simulated workflow completed.
     pub success: bool,
+    /// Simulated makespan.
+    pub makespan: SimTime,
+    /// The first run's trace, byte for byte.
+    pub trace: String,
     /// Trace facts from the invariant checker.
     pub summary: TraceSummary,
     /// Engine-side fault counters.
     pub fault_stats: FaultStats,
     /// Engine-side replication counters.
     pub repl_stats: ReplStats,
+    /// Engine-side replication decisions, one per dispatch when a
+    /// policy is active.
+    pub repl_decisions: Vec<ReplDecision>,
     /// Everything that went wrong: invariant violations plus a
     /// determinism failure if the two runs diverged. Empty = pass.
     pub violations: Vec<String>,
@@ -119,9 +126,12 @@ pub fn run_matrix(wf: &Workflow, fleet: &Fleet, cases: &[ChaosCase]) -> Vec<Case
                 name: case.name.clone(),
                 seed: case.seed,
                 success: res.success,
+                makespan: res.makespan,
+                trace: trace_a,
                 summary,
                 fault_stats: res.fault_stats,
                 repl_stats: res.repl_stats,
+                repl_decisions: res.repl_decisions,
                 violations,
             }
         })
@@ -153,13 +163,18 @@ fn profiles() -> Vec<(&'static str, FaultConfig)> {
 }
 
 /// The replication axis (schema v1.6): every fault profile is crossed
-/// with hedging off, always-on static duplication, and the learned
-/// head's heuristic seed table.
+/// with hedging off, always-on static duplication, the learned head's
+/// heuristic seed table, and `+zero` — an *active* policy that never
+/// asks for a replica. The engine treats `Off` as the one-attempt case
+/// of the replication-aware arms; `+zero` runs those arms with the
+/// group representation, so it must reproduce the `Off` case byte for
+/// byte (the matrix test asserts it).
 fn replication_modes() -> Vec<(&'static str, ReplicationPolicy)> {
     vec![
         ("", ReplicationPolicy::Off),
         ("+static2", ReplicationPolicy::Static { k: 2 }),
         ("+learned", ReplicationPolicy::learned_heuristic()),
+        ("+zero", ReplicationPolicy::Learned { table: ReplTable::zeros() }),
     ]
 }
 
@@ -330,7 +345,7 @@ mod tests {
 
     #[test]
     fn matrices_have_the_advertised_shape() {
-        assert_eq!(default_matrix().len(), 4 * 3 * 3);
-        assert_eq!(full_matrix().len(), 4 * 3 * 16);
+        assert_eq!(default_matrix().len(), 4 * 4 * 3);
+        assert_eq!(full_matrix().len(), 4 * 4 * 16);
     }
 }

@@ -1,11 +1,13 @@
 //! The chaos acceptance suite: the full fault taxonomy, across a seed
 //! matrix, bit-deterministic and invariant-clean.
 //!
-//! The default matrix (4 profiles × 3 seeds) runs on every PR;
-//! `CHAOS_FULL=1` switches to the nightly matrix (4 × 16 seeds).
+//! The default matrix (4 profiles × 4 replication modes × 3 seeds) runs
+//! on every PR; `CHAOS_FULL=1` switches to the nightly matrix (4 × 4 ×
+//! 16 seeds).
 
 use chaoskit::{default_matrix, full_matrix, run_matrix, run_scirun_case};
 use cloud::Fleet;
+use wfsim::ReplStats;
 use workflow::montage50::montage50;
 
 #[test]
@@ -30,6 +32,28 @@ fn chaos_matrix_is_deterministic_and_invariant_clean() {
         outcomes.iter().any(|o| o.success && o.summary.retries > 0),
         "no case recovered from a fault"
     );
+
+    // Replication off is the one-attempt case of the replication-aware
+    // engine arms: an active policy that never asks for a replica takes
+    // the group representation through every arm and must land on the
+    // same bytes, apart from the `repl_decision`s it logs per dispatch.
+    let mut pairs = 0;
+    for off in outcomes.iter().filter(|o| !o.name.contains('+')) {
+        let zero = outcomes
+            .iter()
+            .find(|z| z.name == format!("{}+zero", off.name) && z.seed == off.seed)
+            .expect("every profile and seed has a +zero case");
+        let case = format!("{} seed {}", off.name, off.seed);
+        assert_eq!(zero.trace, off.trace, "{case}: +zero trace differs from off");
+        assert_eq!(zero.makespan.as_secs().to_bits(), off.makespan.as_secs().to_bits(), "{case}");
+        assert_eq!((zero.success, zero.fault_stats), (off.success, off.fault_stats), "{case}");
+        assert_eq!(zero.repl_stats, ReplStats::default(), "{case}");
+        assert_eq!(zero.repl_decisions.len() as u64, zero.summary.starts, "{case}");
+        assert!(zero.repl_decisions.iter().all(|d| d.requested == 0 && d.launched == 0), "{case}");
+        assert!(off.repl_decisions.is_empty(), "{case}");
+        pairs += 1;
+    }
+    assert_eq!(pairs * 4, outcomes.len());
 }
 
 #[test]

@@ -23,5 +23,8 @@ pub use fleet::{Fleet, VmInstance};
 pub use fluctuation::{FluctuationModel, PerfFluctuation};
 pub use migration::MigrationModel;
 pub use pricing::{execution_cost_usd, BillingGranularity};
-pub use replication::{ReplFeatures, ReplTable, ReplicationPolicy, REPL_MAX_EXTRA, REPL_STATES};
+pub use replication::{
+    replica_targets, ReplFeatures, ReplTable, ReplicaTargets, ReplicationPolicy, REPL_MAX_EXTRA,
+    REPL_STATES,
+};
 pub use vmtype::VmType;

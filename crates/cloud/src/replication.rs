@@ -21,9 +21,12 @@
 //!   injection; [`ReplTable::heuristic`] gives an untrained but
 //!   sensible policy for one-shot simulation.
 //!
+//! Replica *placement* — which VMs host the extra attempts — is policy
+//! too, and lives here once ([`replica_targets`]) for both engines.
+//!
 //! Everything here is pure data: same features in, same replica count
-//! out, so replication never perturbs the engines' determinism
-//! contract.
+//! and same targets out, so replication never perturbs the engines'
+//! determinism contract.
 
 use serde::{Deserialize, Serialize};
 
@@ -239,6 +242,52 @@ impl ReplicationPolicy {
     }
 }
 
+/// The VMs [`replica_targets`] picked, in scan order; at most
+/// [`REPL_MAX_EXTRA`] of them, held inline so a dispatch allocates
+/// nothing for its placement.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaTargets {
+    vms: [usize; REPL_MAX_EXTRA as usize],
+    len: usize,
+}
+
+impl ReplicaTargets {
+    /// The chosen VM indices, in launch order.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.vms[..self.len]
+    }
+}
+
+/// Where the replicas of one dispatch go: a round-robin scan outward
+/// from the primary's VM (`primary + 1, primary + 2, …` modulo the
+/// fleet size `nv`), taking the first `requested` VMs that `skip` does
+/// not rule out (an engine passes what it cannot use: blacklisted or
+/// full VMs). The scan never yields the primary's VM and visits every
+/// other VM at most once, so a group never has two attempts on one VM
+/// — co-located replicas share the fault domain and hedge nothing —
+/// and it returns fewer than `requested` when the fleet runs out.
+/// `requested` is what [`ReplicationPolicy::extra_replicas`] returned,
+/// so never more than [`REPL_MAX_EXTRA`] (anything above is clamped).
+pub fn replica_targets(
+    primary: usize,
+    nv: usize,
+    requested: u32,
+    mut skip: impl FnMut(usize) -> bool,
+) -> ReplicaTargets {
+    let mut targets = ReplicaTargets::default();
+    let wanted = requested.min(REPL_MAX_EXTRA) as usize;
+    let mut offset = 1;
+    while targets.len < wanted && offset < nv {
+        let vm = (primary + offset) % nv;
+        offset += 1;
+        if !skip(vm) {
+            targets.vms[targets.len] = vm;
+            targets.len += 1;
+        }
+    }
+    targets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +353,70 @@ mod tests {
         assert!(short.validate().is_err());
         let wild = ReplTable { actions: vec![REPL_MAX_EXTRA as u8 + 1; REPL_STATES] };
         assert!(wild.validate().is_err());
+    }
+
+    /// The placement loop as both engines spelled it before it moved
+    /// here, kept as the oracle.
+    fn scan(primary: usize, nv: usize, requested: u32, skip: &[bool]) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut offset = 1;
+        while (out.len() as u32) < requested && offset < nv {
+            let cv = (primary + offset) % nv;
+            offset += 1;
+            if skip[cv] {
+                continue;
+            }
+            out.push(cv);
+        }
+        out
+    }
+
+    #[test]
+    fn replica_targets_scan_outward_from_the_primary() {
+        // Scan order is primary + 1, primary + 2, … modulo the fleet.
+        assert_eq!(replica_targets(6, 8, 3, |_| false).as_slice(), [7, 0, 1]);
+        // Never the primary, never more than requested, fewer when the
+        // fleet (or `skip`) leaves too few, none on a one-VM fleet.
+        assert_eq!(replica_targets(1, 3, 3, |_| false).as_slice(), [2, 0]);
+        assert_eq!(replica_targets(1, 3, 3, |vm| vm == 2).as_slice(), [0]);
+        assert_eq!(replica_targets(1, 3, 3, |_| true).as_slice(), [] as [usize; 0]);
+        assert_eq!(replica_targets(0, 1, 3, |_| false).as_slice(), [] as [usize; 0]);
+        assert_eq!(replica_targets(2, 8, 0, |_| false).as_slice(), [] as [usize; 0]);
+        // `skip` is asked about each candidate at most once, in scan order.
+        let mut asked = Vec::new();
+        let picked = replica_targets(2, 4, 1, |vm| {
+            asked.push(vm);
+            vm == 3
+        });
+        assert_eq!((picked.as_slice(), asked.as_slice()), (&[0][..], &[3, 0][..]));
+    }
+
+    #[test]
+    fn replica_targets_match_the_loop_they_replaced() {
+        // SplitMix64 over (primary, fleet size, requested, skip mask).
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..20_000 {
+            let nv = 1 + (next() % 12) as usize;
+            let primary = (next() % nv as u64) as usize;
+            let requested = (next() % u64::from(REPL_MAX_EXTRA + 1)) as u32;
+            let mask = next();
+            let skip: Vec<bool> = (0..nv).map(|vm| mask >> vm & 1 == 1).collect();
+            let picked = replica_targets(primary, nv, requested, |vm| skip[vm]);
+            let picked = picked.as_slice();
+            assert_eq!(picked, scan(primary, nv, requested, &skip), "{primary} {nv} {requested}");
+            assert!(picked.len() <= requested as usize && !picked.contains(&primary));
+            let mut distinct = picked.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), picked.len(), "a VM was picked twice");
+        }
     }
 
     #[test]

@@ -35,8 +35,7 @@ use std::time::Instant;
 use wfcommon::ids::Idx;
 use wfcommon::{EpisodeId, Error, Result, SeedDerivation, SimTime};
 use wfsim::{
-    simulate_cached, simulate_cached_traced, ExecHistory, FixedPlanScheduler, Plan, SimArena,
-    SimConfig, SimResult,
+    simulate_cached_traced, ExecHistory, FixedPlanScheduler, Plan, SimArena, SimConfig, SimResult,
 };
 use workflow::{Workflow, WorkflowCache};
 
@@ -553,7 +552,7 @@ impl Ledger<'_> {
         let greedy_plan = agent.greedy_plan();
         greedy_plan.validate(env.workflow, env.fleet)?;
         let mut replay = FixedPlanScheduler::new(greedy_plan.clone());
-        let greedy_result = simulate_cached(
+        let greedy_result = simulate_cached_traced(
             env.workflow,
             env.cache,
             env.fleet,
@@ -562,6 +561,7 @@ impl Ledger<'_> {
             SeedDerivation::new(env.seeds().seed_for("greedy-eval", 0)),
             None,
             arena,
+            &mut Tracer::disabled(),
         )?;
         // In a fault-free world an unsuccessful replay of a validated plan
         // means the learner produced garbage — a hard error. With fault

@@ -1,6 +1,9 @@
 //! SCCore: the master/worker plan-execution engine.
 
-use cloud::{Attempt, FailureModel, FaultConfig, FaultModel, ReplFeatures, ReplicationPolicy};
+use cloud::{
+    replica_targets, Attempt, FailureModel, FaultConfig, FaultModel, ReplFeatures,
+    ReplicationPolicy,
+};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use obs::{Histogram, REPLICA_ATTEMPT_BASE};
 use rand::Rng as _;
@@ -430,25 +433,19 @@ impl ExecutionEngine {
                 };
                 let requested = self.config.replication.extra_replicas(&features);
                 let mut attempts: Vec<(u32, VmId)> = vec![(cur_attempt[i], primary_vm)];
-                let mut launched = 0u32;
-                let mut offset = 1usize;
-                while launched < requested && offset < nv {
-                    let cand = VmId::new(((primary_vm.index() + offset) % nv) as u32);
-                    offset += 1;
-                    if attempts.iter().any(|&(_, v)| v == cand) {
-                        continue;
-                    }
-                    let attempt_id = REPLICA_ATTEMPT_BASE + rep_seq[i];
+                // Same placement as the simulator's, minus what only it
+                // has: no VM here is ever blacklisted or full.
+                let targets = replica_targets(primary_vm.index(), nv, requested, |_| false);
+                for &cand in targets.as_slice() {
+                    attempts.push((REPLICA_ATTEMPT_BASE + rep_seq[i], VmId::from_index(cand)));
                     rep_seq[i] += 1;
-                    attempts.push((attempt_id, cand));
-                    launched += 1;
                 }
-                repl_stats.launched += u64::from(launched);
+                repl_stats.launched += targets.as_slice().len() as u64;
                 let mut order: Vec<usize> = (0..attempts.len()).collect();
                 order.sort_by(|&a, &b| {
                     let da = length_mi / vm_mips[attempts[a].1.index()];
                     let db = length_mi / vm_mips[attempts[b].1.index()];
-                    da.partial_cmp(&db).unwrap().then(a.cmp(&b))
+                    da.total_cmp(&db).then(a.cmp(&b))
                 });
                 let winner = order
                     .iter()

@@ -22,7 +22,7 @@
 //!        │   hit  → fine-tune  (LearnRun, warm table, reduced episodes)
 //!        │   miss → full learn (LearnRun, full episodes)
 //!        ▼
-//!  simulate_cached(greedy plan, optional FaultConfig)
+//!  simulate_cached_traced(greedy plan, optional FaultConfig)
 //!        ▼
 //!  drain() → ServiceReport { per-tenant results + provenance,
 //!                            counters, byte-deterministic binary trace }

@@ -5,8 +5,9 @@
 //! per-VM counters, the ready set kept across the episode, the idle
 //! slots listed at every consultation, the replication groups) has the
 //! same shape every episode. A [`SimArena`] owns those buffers
-//! so repeated [`crate::engine::simulate_cached`] calls reset them in
-//! place instead of reallocating. Arenas are cheap to create and are
+//! so repeated [`crate::engine::simulate_cached_traced`] calls reset
+//! them in place instead of reallocating; the engine borrows the whole
+//! arena for the length of one run. Arenas are cheap to create and are
 //! *not* shared between threads — in a parallel learner each worker
 //! keeps its own.
 
@@ -17,12 +18,12 @@ use wfcommon::{ActivationId, VmId};
 /// Scratch space for one simulation at a time (see module docs).
 ///
 /// Every field is fully reinitialized by the engine before use, so a
-/// reused arena produces bitwise-identical results to a fresh one. The
-/// `repl_*` vectors are the exception that proves it: a run with
-/// replication [`cloud::ReplicationPolicy::Off`] reads none of them and
-/// does no per-activation work on them (no O(n) for a feature that is
-/// off), so `repl_groups` holds whatever the last replicating run left
-/// until the next one resets it, for its own `n`, before use.
+/// reused arena produces bitwise-identical results to a fresh one.
+/// `repl_groups` is the exception that proves it: a run with
+/// replication [`cloud::ReplicationPolicy::Off`] never reads it and does
+/// no per-activation work on it (no O(n) for a feature that is off), so
+/// it holds whatever the last replicating run left until the next one
+/// resets it, for its own `n`, before use.
 #[derive(Default)]
 pub struct SimArena {
     /// Simulation clock + event queue.
@@ -70,9 +71,10 @@ impl SimArena {
     }
 
     /// Clear every buffer, keeping allocations. The engine repopulates
-    /// them to match the workflow/fleet it is asked to run. (The
-    /// `repl_*` vectors are reset where a replicating run starts:
-    /// `engine::ReplState::new`.)
+    /// them to match the workflow/fleet it is asked to run.
+    /// (`repl_groups` is not touched: clearing it would drop the inner
+    /// vectors a replicating run keeps for their capacity. It is reset
+    /// where such a run starts, in `simulate_cached_traced`.)
     pub(crate) fn reset(&mut self) {
         self.sim.reset();
         self.states.clear();
@@ -85,5 +87,7 @@ impl SimArena {
         self.vm_busy_secs.clear();
         self.ready.clear();
         self.idle.clear();
+        self.repl_seq.clear();
+        self.repl_pending.clear();
     }
 }

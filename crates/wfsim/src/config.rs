@@ -86,8 +86,8 @@ pub struct SimConfig {
     /// byte-identical to pre-fault builds.
     pub faults: FaultConfig,
     /// Speculative-replication policy (schema v1.6). The default is
-    /// [`ReplicationPolicy::Off`], under which the engine takes the
-    /// exact legacy code paths — traces stay byte-identical to
+    /// [`ReplicationPolicy::Off`], the one-attempt case of the engine's
+    /// replication-aware arms — traces stay byte-identical to
     /// pre-replication builds. `serde(default)` keeps configs
     /// serialized before this field existed loadable.
     #[serde(default)]

@@ -14,6 +14,10 @@
 //! * queue time `tf` is the ready→start wait, execution time `te` is
 //!   the start→finish span including data stage-in, performance
 //!   fluctuation and migration stalls.
+//!
+//! One run is one [`Engine`]: the episode's state in one struct, every
+//! event arm and recovery step a method written once. Replication off
+//! is the one-attempt case of the same arms (see [`Engine::live_on`]).
 
 use crate::arena::SimArena;
 use crate::config::{FluctuationKind, MigrationKind, SimConfig};
@@ -23,9 +27,9 @@ use crate::result::{ActivationRecord, FaultStats, ReplDecision, ReplStats, SimRe
 use crate::scheduler::{CompletionInfo, Decision, Scheduler, SchedulerContext};
 use cloud::failure::{Attempt, FailureModel};
 use cloud::fluctuation::{FluctuationModel, NoFluctuation, PerfFluctuation};
-use cloud::{FaultModel, Fleet, MigrationModel, ReplFeatures};
+use cloud::{replica_targets, FaultModel, Fleet, MigrationModel, ReplFeatures};
 use obs::{TraceEvent, Tracer, REPLICA_ATTEMPT_BASE};
-use simkit::{Simulation, StepOutcome};
+use simkit::StepOutcome;
 use wfcommon::ids::Idx;
 use wfcommon::{ActivationId, Error, Result, SeedDerivation, SimTime, VmId};
 use workflow::{Workflow, WorkflowCache};
@@ -93,101 +97,15 @@ pub(crate) struct PendingDecision {
     waste_secs: f64,
 }
 
-/// All engine-side replication state, carried alongside the legacy
-/// per-activation arrays. The per-activation vectors are the arena's
-/// (`SimArena::{repl_groups, repl_seq, repl_pending}`), reset in place
-/// here for the `n` activations of this run; what the run reports
-/// (`stats`, `decisions`) is owned and leaves in the [`SimResult`].
-/// Inert (`active == false`) when the policy is
-/// [`cloud::ReplicationPolicy::Off`]: the per-activation slices are then
-/// empty views, nothing behind them is sized or reset, and no event
-/// handler reads them — each takes the exact legacy code path.
-struct ReplState<'a> {
-    active: bool,
-    /// Live attempts per activation (primary first, in launch order).
-    groups: &'a mut [Vec<RepAttempt>],
-    /// Per-activation replica launch ordinal — replica attempt ids are
-    /// `REPLICA_ATTEMPT_BASE + ordinal`, disjoint from retry counts
-    /// and never reused across a task's dispatches.
-    rep_seq: &'a mut [u32],
-    /// Decision awaiting resolution, per activation.
-    pending: &'a mut [Option<PendingDecision>],
-    /// Workflow-wide critical path (top of the downward-rank order),
-    /// the denominator of the slack feature.
-    cp_total: f64,
-    stats: ReplStats,
-    decisions: Vec<ReplDecision>,
-}
-
-impl<'a> ReplState<'a> {
-    fn new(
-        n: usize,
-        active: bool,
-        cache: &WorkflowCache,
-        groups: &'a mut Vec<Vec<RepAttempt>>,
-        rep_seq: &'a mut Vec<u32>,
-        pending: &'a mut Vec<Option<PendingDecision>>,
-    ) -> Self {
-        // An `Off` run sizes and resets nothing: its `n` is 0 here.
-        // Otherwise whatever an earlier run left behind — another
-        // policy, a larger workflow — goes; the inner vectors keep their
-        // capacity, so a steady-state episode allocates nothing here.
-        let n = if active { n } else { 0 };
-        if groups.len() < n {
-            groups.resize_with(n, Vec::new);
-        }
-        groups[..n].iter_mut().for_each(Vec::clear);
-        rep_seq.clear();
-        rep_seq.resize(n, 0);
-        pending.clear();
-        pending.resize(n, None);
-        Self {
-            active,
-            groups: &mut groups[..n],
-            rep_seq,
-            pending,
-            cp_total: (0..n).map(|i| cache.rank(i)).fold(0.0f64, f64::max),
-            stats: ReplStats::default(),
-            // One decision per dispatch: `n` plus the retries.
-            decisions: Vec::with_capacity(n),
-        }
-    }
-
-    /// Bill cancelled-attempt seconds as hedging waste.
-    fn add_waste(&mut self, i: usize, secs: f64) {
-        self.stats.waste_secs += secs;
-        if let Some(d) = self.pending[i].as_mut() {
-            d.waste_secs += secs;
-        }
-    }
-
-    /// Close the pending decision for activation `i` with its outcome.
-    fn resolve(&mut self, i: usize, now: SimTime, replica_won: bool, group_failed: bool) {
-        if let Some(d) = self.pending[i].take() {
-            self.decisions.push(ReplDecision {
-                activation: i as u32,
-                bucket: d.bucket,
-                requested: d.requested,
-                launched: d.launched,
-                primary_secs: d.primary_secs,
-                group_secs: (now - d.start_t).as_secs(),
-                waste_secs: d.waste_secs,
-                replica_won,
-                group_failed,
-            });
-        }
-    }
-}
-
 /// Run one simulated execution of `workflow` on `fleet` under
 /// `scheduler`. `seeds` drives all stochastic models; `history_seed`
 /// lets callers pre-load execution history from earlier episodes
 /// (paper §III-C: previous-episode information is carried forward).
 ///
-/// Convenience wrapper over [`simulate_cached`] that derives the
-/// structural cache and scratch arena on the spot. Loops that run many
-/// episodes should build a [`WorkflowCache`] once and reuse a
-/// [`SimArena`] instead; the results are bitwise identical.
+/// Convenience wrapper over [`simulate_cached_traced`] that derives the
+/// structural cache and scratch arena on the spot and traces nothing.
+/// Loops that run many episodes should build a [`WorkflowCache`] once
+/// and reuse a [`SimArena`] instead; the results are bitwise identical.
 pub fn simulate(
     workflow: &Workflow,
     fleet: &Fleet,
@@ -234,35 +152,16 @@ pub fn simulate_traced(
     )
 }
 
-/// [`simulate`] with the allocation-heavy parts hoisted out: `cache`
-/// holds the workflow's precomputed structure (build once per
+/// [`simulate_traced`] with the allocation-heavy parts hoisted out:
+/// `cache` holds the workflow's precomputed structure (build once per
 /// workflow), `arena` the reusable scratch buffers (one per worker,
-/// reset in place each call).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cached(
-    workflow: &Workflow,
-    cache: &WorkflowCache,
-    fleet: &Fleet,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    seeds: SeedDerivation,
-    history_seed: Option<&ExecHistory>,
-    arena: &mut SimArena,
-) -> Result<SimResult> {
-    simulate_cached_traced(
-        workflow,
-        cache,
-        fleet,
-        scheduler,
-        config,
-        seeds,
-        history_seed,
-        arena,
-        &mut Tracer::disabled(),
-    )
-}
-
-/// [`simulate_cached`] with a structured-event tracer attached.
+/// reset in place each call). Pass `&mut Tracer::disabled()` to trace
+/// nothing.
+///
+/// A rejected call — invalid `config`, empty fleet or workflow, a cache
+/// or seed history built for something else — returns before anything
+/// is touched: the arena keeps what it held and the tracer sees no
+/// event.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_cached_traced(
     workflow: &Workflow,
@@ -285,9 +184,12 @@ pub fn simulate_cached_traced(
     if cache.len() != workflow.len() {
         return Err(Error::Simulation("workflow cache built for a different workflow".into()));
     }
+    if history_seed.is_some_and(|h| h.vm_count() != fleet.len()) {
+        return Err(Error::Simulation("seed history sized for a different fleet".into()));
+    }
 
     let n = workflow.len();
-    let mut fluct: Box<dyn FluctuationModel> = match config.fluctuation {
+    let fluct: Box<dyn FluctuationModel> = match config.fluctuation {
         FluctuationKind::None => Box::new(NoFluctuation),
         FluctuationKind::Mild => Box::new(PerfFluctuation::mild(fleet.len(), seeds)),
         FluctuationKind::Heavy => Box::new(PerfFluctuation::heavy(fleet.len(), seeds)),
@@ -295,13 +197,6 @@ pub fn simulate_cached_traced(
             Box::new(PerfFluctuation::new(fleet.len(), sigma, theta, seeds))
         }
     };
-    let failures = FailureModel::new(config.failure_prob, config.max_retries, seeds);
-    // Crash schedules run over the same horizon as migrations, sampled
-    // as the run reaches them; straggler/lost-ack draws are pure
-    // counter-RNG.
-    let mut faults =
-        FaultModel::new(config.faults, fleet.len(), SimTime(config.migration_horizon_secs), seeds);
-    let faults_active = !config.faults.is_inert();
     let migrations = match config.migration {
         MigrationKind::None => MigrationModel::none(),
         MigrationKind::Poisson { rate_per_hour, min_downtime_secs, max_downtime_secs } => {
@@ -317,282 +212,226 @@ pub fn simulate_cached_traced(
     };
 
     arena.reset();
-    let SimArena {
-        sim,
-        states,
-        retries,
-        placed_on,
-        running_on,
-        vm_faults,
-        blacklisted,
-        free_pes,
-        vm_busy_secs,
-        ready,
-        idle,
-        repl_groups,
-        repl_seq,
-        repl_pending,
-    } = arena;
-
-    tracer.emit_with(|| TraceEvent::SimStart { activations: n as u32, vms: fleet.len() as u32 });
-    // Wall-clock phase timers (opt-in via `Tracer::with_timing`; both
-    // are `None`/0 and cost nothing otherwise). `sim.total` spans the
-    // whole simulation; `sim.sched` accumulates the scheduler-facing
-    // share of it across every scheduling pass.
-    let sim_t0 = tracer.phase_start();
-    let mut sched_wall_secs = 0.0f64;
-
-    // Per-activation state; the roots start out ready.
-    states.extend((0..n).map(|i| AcState::Locked { remaining_parents: cache.in_degree(i) }));
-    for i in (0..n).filter(|&i| cache.in_degree(i) == 0) {
-        make_ready(states, ready, i, SimTime::ZERO);
-    }
-    retries.resize(n, 0);
-    placed_on.resize(n, None);
-    running_on.resize(n, None);
-    vm_faults.resize(fleet.len(), 0);
-    blacklisted.resize(fleet.len(), false);
-
+    arena.states.extend((0..n).map(|i| AcState::Locked { remaining_parents: cache.in_degree(i) }));
+    arena.retries.resize(n, 0);
+    arena.placed_on.resize(n, None);
+    arena.running_on.resize(n, None);
+    arena.vm_faults.resize(fleet.len(), 0);
+    arena.blacklisted.resize(fleet.len(), false);
     // Per-VM free elements. With a provisioning delay, elements come
-    // online only when the VM's boot completes (staggered ±50 % per VM
-    // like real EC2 launch-time spread).
-    let booting = config.vm_boot_secs > 0.0;
-    if booting {
-        free_pes.resize(fleet.len(), 0);
+    // online only when the VM's boot completes.
+    if config.vm_boot_secs > 0.0 {
+        arena.free_pes.resize(fleet.len(), 0);
     } else {
-        free_pes.extend(fleet.iter().map(|(_, vm)| vm.vm_type.pes));
+        arena.free_pes.extend(fleet.iter().map(|(_, vm)| vm.vm_type.pes));
     }
-    vm_busy_secs.resize(fleet.len(), 0.0);
-
-    let mut history = history_seed.cloned().unwrap_or_else(|| ExecHistory::new(fleet.len()));
-    if history.vm_count() != fleet.len() {
-        return Err(Error::Simulation("seed history sized for a different fleet".into()));
-    }
-
-    let mut plan = Plan::empty(n);
-    let mut records: Vec<ActivationRecord> = Vec::with_capacity(n);
-    let mut remaining = n; // activations not yet Done
-    let mut workflow_failed = false;
-    let mut running: usize = 0; // attempts currently occupying a PE
-    let mut stats = FaultStats::default();
-    let mut repl = ReplState::new(
-        n,
-        config.replication.is_active(),
-        cache,
-        repl_groups,
-        repl_seq,
-        repl_pending,
-    );
-
-    if booting {
-        use rand::Rng as _;
-        let mut boot_rng = seeds.rng_for("vm-boot", 0);
-        for (vm_id, vm) in fleet.iter() {
-            let jitter: f64 = boot_rng.gen_range(0.5..1.5);
-            sim.schedule(
-                SimTime(config.vm_boot_secs * jitter),
-                Ev::VmReady { vm: vm_id, pes: vm.vm_type.pes },
-            )?;
+    arena.vm_busy_secs.resize(fleet.len(), 0.0);
+    let replicating = config.replication.is_active();
+    if replicating {
+        // Only a replicating run sizes and resets the groups: whatever an
+        // earlier run left behind — another policy, a larger workflow —
+        // goes here. The inner vectors keep their capacity, so a
+        // steady-state episode allocates nothing.
+        if arena.repl_groups.len() < n {
+            arena.repl_groups.resize_with(n, Vec::new);
         }
+        arena.repl_groups[..n].iter_mut().for_each(Vec::clear);
+        arena.repl_seq.resize(n, 0);
+        arena.repl_pending.resize(n, None);
     }
 
-    // Seed each VM's first crash; the rest of its schedule is chained
-    // as crashes fire (no crash at all when crashes are off).
-    for (vm_id, _) in fleet.iter() {
-        if let Some(t0) = faults.crash(vm_id, 0) {
-            sim.schedule(t0, Ev::Crash { vm: vm_id, idx: 0 })?;
-        }
-    }
-
-    // Initial scheduling pass at t = 0.
-    let pass_t0 = tracer.phase_start();
-    scheduling_pass(
-        sim,
+    Engine {
+        workflow,
         cache,
         fleet,
-        scheduler,
         config,
-        states,
-        free_pes,
-        &mut plan,
-        &history,
-        placed_on,
-        fluct.as_mut(),
-        &failures,
-        &faults,
-        &migrations,
-        retries,
-        vm_busy_secs,
-        workflow_failed,
-        ready,
-        idle,
-        running_on,
-        &mut running,
-        blacklisted,
-        &mut stats,
-        &mut repl,
-        workflow,
+        seeds,
+        scheduler,
         tracer,
-    )?;
-    if let Some(t0) = pass_t0 {
-        sched_wall_secs += t0.elapsed().as_secs_f64();
+        fluct,
+        failures: FailureModel::new(config.failure_prob, config.max_retries, seeds),
+        // Crash schedules run over the same horizon as migrations,
+        // sampled as the run reaches them; straggler/lost-ack draws are
+        // pure counter-RNG.
+        faults: FaultModel::new(
+            config.faults,
+            fleet.len(),
+            SimTime(config.migration_horizon_secs),
+            seeds,
+        ),
+        migrations,
+        arena,
+        result: SimResult {
+            makespan: SimTime::ZERO,
+            success: false,
+            records: Vec::with_capacity(n),
+            plan: Plan::empty(n),
+            history: history_seed.cloned().unwrap_or_else(|| ExecHistory::new(fleet.len())),
+            vm_busy_secs: Vec::new(),
+            events_processed: 0,
+            fault_stats: FaultStats::default(),
+            repl_stats: ReplStats::default(),
+            // One decision per dispatch: `n` plus the retries.
+            repl_decisions: Vec::with_capacity(if replicating { n } else { 0 }),
+        },
+        replicating,
+        cp_total: if replicating { (0..n).map(|i| cache.rank(i)).fold(0.0, f64::max) } else { 0.0 },
+        remaining: n,
+        running: 0,
+        workflow_failed: false,
+        sched_wall_secs: 0.0,
+    }
+    .run()
+}
+
+/// One simulation in flight: what is being run, the stochastic models,
+/// the arena (reset and sized for this run), the result so far and the
+/// run's counters. [`Self::run`] is the episode; every other method is
+/// one of its steps, written once.
+struct Engine<'a, 't> {
+    workflow: &'a Workflow,
+    cache: &'a WorkflowCache,
+    fleet: &'a Fleet,
+    config: &'a SimConfig,
+    seeds: SeedDerivation,
+    scheduler: &'a mut dyn Scheduler,
+    tracer: &'a mut Tracer<'t>,
+
+    fluct: Box<dyn FluctuationModel>,
+    failures: FailureModel,
+    faults: FaultModel,
+    migrations: MigrationModel,
+
+    arena: &'a mut SimArena,
+    /// What the run will report, filled in as it goes (`makespan`,
+    /// `success` and the busy-time copy at the end).
+    result: SimResult,
+
+    /// Whether the policy ever replicates: which representation of an
+    /// activation's live attempts is in use (see [`Self::live_on`]).
+    replicating: bool,
+    /// Workflow-wide critical path (top of the downward-rank order),
+    /// the denominator of the slack feature.
+    cp_total: f64,
+
+    /// Activations not yet `Done`.
+    remaining: usize,
+    /// Attempts currently occupying a processing element.
+    running: usize,
+    /// A terminal failure occurred: nothing new starts, running
+    /// attempts just drain.
+    workflow_failed: bool,
+    /// Wall-clock share of the scheduling passes (`sim.sched`; stays 0
+    /// unless the tracer times phases).
+    sched_wall_secs: f64,
+}
+
+impl Engine<'_, '_> {
+    /// The episode: start-up events, then event → scheduling pass until
+    /// the heap drains or the outcome is decided.
+    fn run(mut self) -> Result<SimResult> {
+        let (n, nv) = (self.workflow.len(), self.fleet.len());
+        self.tracer.emit_with(|| TraceEvent::SimStart { activations: n as u32, vms: nv as u32 });
+        // Wall-clock phase timers (opt-in via `Tracer::with_timing`; both
+        // are `None`/0 and cost nothing otherwise). `sim.total` spans the
+        // whole simulation; `sim.sched` accumulates the scheduler-facing
+        // share of it across every scheduling pass.
+        let sim_t0 = self.tracer.phase_start();
+
+        // The roots start out ready.
+        for i in (0..n).filter(|&i| self.cache.in_degree(i) == 0) {
+            self.make_ready(i, SimTime::ZERO);
+        }
+        // Boot completions, staggered ±50 % per VM like real EC2
+        // launch-time spread.
+        if self.config.vm_boot_secs > 0.0 {
+            use rand::Rng as _;
+            let mut boot_rng = self.seeds.rng_for("vm-boot", 0);
+            for (vm_id, vm) in self.fleet.iter() {
+                let jitter: f64 = boot_rng.gen_range(0.5..1.5);
+                self.arena.sim.schedule(
+                    SimTime(self.config.vm_boot_secs * jitter),
+                    Ev::VmReady { vm: vm_id, pes: vm.vm_type.pes },
+                )?;
+            }
+        }
+        // Seed each VM's first crash; the rest of its schedule is chained
+        // as crashes fire (no crash at all when crashes are off).
+        for (vm_id, _) in self.fleet.iter() {
+            if let Some(t0) = self.faults.crash(vm_id, 0) {
+                self.arena.sim.schedule(t0, Ev::Crash { vm: vm_id, idx: 0 })?;
+            }
+        }
+        let faults_active = !self.config.faults.is_inert();
+
+        // Initial scheduling pass at t = 0.
+        self.schedule()?;
+        loop {
+            if self.result.events_processed >= self.config.max_events {
+                return Err(Error::Simulation(format!(
+                    "exceeded {} events; runaway simulation?",
+                    self.config.max_events
+                )));
+            }
+            let StepOutcome::Event(ev) = self.arena.sim.step() else { break };
+            self.result.events_processed += 1;
+            self.handle(ev)?;
+
+            // With faults active the heap can hold crash/repair events far
+            // beyond the workflow's lifetime; stop as soon as the outcome
+            // is decided (success, or failure with all attempts drained).
+            // Gated so fault-free runs keep their historical drain
+            // semantics byte-for-byte.
+            if faults_active && (self.remaining == 0 || (self.workflow_failed && self.running == 0))
+            {
+                break;
+            }
+            self.schedule()?;
+        }
+
+        let mut result = self.result;
+        result.success = self.remaining == 0 && !self.workflow_failed;
+        result.makespan = self.arena.sim.now();
+        result.vm_busy_secs = self.arena.vm_busy_secs.clone();
+        if self.tracer.timing_enabled() {
+            self.tracer.emit_phase_secs("sim.sched", self.sched_wall_secs);
+            self.tracer.emit_phase("sim.total", sim_t0);
+        }
+        self.tracer.emit_with(|| TraceEvent::SimEnd {
+            t: result.makespan.as_secs(),
+            success: result.success,
+            events: result.events_processed,
+            queue_pushes: self.arena.sim.pushes(),
+            max_queue_depth: self.arena.sim.max_pending() as u64,
+        });
+        self.scheduler.on_episode_end(&result);
+        Ok(result)
     }
 
-    let mut processed: u64 = 0;
-    loop {
-        if processed >= config.max_events {
-            return Err(Error::Simulation(format!(
-                "exceeded {} events; runaway simulation?",
-                config.max_events
-            )));
-        }
-        let ev = match sim.step() {
-            StepOutcome::Idle => break,
-            StepOutcome::Event(ev) => ev,
-        };
-        processed += 1;
-        let now = sim.now();
+    /// Apply one event at `sim.now()`. Forced into the episode loop, its
+    /// one caller: as a call it was measured at +2 % per event.
+    #[inline(always)]
+    fn handle(&mut self, ev: Ev) -> Result<()> {
+        let now = self.arena.sim.now();
+        let t = now.as_secs();
         match ev {
             Ev::VmReady { vm, pes } => {
-                free_pes[vm.index()] += pes;
-                tracer.emit_with(|| TraceEvent::VmReady {
-                    t: now.as_secs(),
-                    vm: vm.index() as u32,
-                    pes,
-                });
-            }
-            Ev::Finished { ac, vm, started_at, ready_at, attempt, failed } if repl.active => {
-                // Replication-aware completion: an attempt is live
-                // while its `(attempt, vm)` pair is still in the
-                // activation's group. The first *successful* finisher
-                // wins the race and cancels every surviving sibling;
-                // failed attempts just leave the group, and only the
-                // last one out triggers the retry machinery.
-                let i = ac.index();
-                let live = states[i] == AcState::Running
-                    && repl.groups[i].iter().any(|a| a.attempt == attempt && a.vm == vm);
-                if live {
-                    let v = vm.index();
-                    let te = (now - started_at).as_secs();
-                    let tf = (started_at - ready_at).as_secs().max(0.0);
-                    tracer.emit_with(|| TraceEvent::Finish {
-                        t: now.as_secs(),
-                        ac: i as u32,
-                        vm: v as u32,
-                        attempt,
-                        exec_secs: te,
-                        queue_secs: tf,
-                        failed,
-                    });
-                    free_pes[v] += 1;
-                    vm_busy_secs[v] += te;
-                    running -= 1;
-                    repl.groups[i].retain(|a| !(a.attempt == attempt && a.vm == vm));
-                    history.record(vm, te, tf);
-                    scheduler.on_completion(
-                        &CompletionInfo {
-                            activation: ac,
-                            vm,
-                            queue_secs: tf,
-                            exec_secs: te,
-                            finished_at: now,
-                            attempt,
-                            failed,
-                        },
-                        &history,
-                    );
-
-                    if failed {
-                        if repl.groups[i].is_empty() {
-                            // The whole group failed: normal retry.
-                            running_on[i] = None;
-                            repl.resolve(i, now, false, true);
-                            if retries[i] < config.max_retries && !workflow_failed {
-                                retries[i] += 1;
-                                stats.retries += 1;
-                                tracer.emit_with(|| TraceEvent::Retry {
-                                    t: now.as_secs(),
-                                    ac: i as u32,
-                                    next_attempt: retries[i],
-                                });
-                                let backoff = config.faults.backoff_secs(retries[i]);
-                                if backoff > 0.0 {
-                                    states[i] = AcState::Waiting;
-                                    sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
-                                } else {
-                                    make_ready(states, ready, i, now);
-                                }
-                            } else {
-                                states[i] = AcState::Failed;
-                                workflow_failed = true;
-                            }
-                        }
-                        // else: siblings still racing — no retry yet.
-                    } else {
-                        // Winner. Cancel every surviving sibling,
-                        // billing its occupied PE-seconds as waste.
-                        for k in 0..repl.groups[i].len() {
-                            let a = repl.groups[i][k];
-                            let cv = a.vm.index();
-                            let billed = (now - a.started_at).as_secs();
-                            tracer.emit_with(|| TraceEvent::Cancel {
-                                t: now.as_secs(),
-                                ac: i as u32,
-                                vm: cv as u32,
-                                attempt: a.attempt,
-                            });
-                            free_pes[cv] += 1;
-                            vm_busy_secs[cv] += billed;
-                            running -= 1;
-                            repl.stats.cancelled += 1;
-                            repl.add_waste(i, billed);
-                        }
-                        repl.groups[i].clear();
-                        running_on[i] = None;
-                        if attempt >= REPLICA_ATTEMPT_BASE {
-                            repl.stats.replica_wins += 1;
-                        }
-                        repl.resolve(i, now, attempt >= REPLICA_ATTEMPT_BASE, false);
-                        states[i] = AcState::Done;
-                        placed_on[i] = Some(vm);
-                        remaining -= 1;
-                        records.push(ActivationRecord {
-                            activation: ac,
-                            vm,
-                            ready_at,
-                            started_at,
-                            finished_at: now,
-                            retries: retries[i],
-                        });
-                        for child in workflow.children(ac) {
-                            let c = child.index();
-                            if let AcState::Locked { remaining_parents } = &mut states[c] {
-                                *remaining_parents -= 1;
-                                if *remaining_parents == 0 {
-                                    make_ready(states, ready, c, now);
-                                }
-                            }
-                        }
-                    }
-                }
+                self.arena.free_pes[vm.index()] += pes;
+                self.tracer.emit_with(|| TraceEvent::VmReady { t, vm: vm.index() as u32, pes });
             }
             Ev::Finished { ac, vm, started_at, ready_at, attempt, failed } => {
+                // The first *successful* finisher wins and cancels every
+                // surviving sibling; a failed attempt just leaves, and
+                // only the last one out triggers the retry machinery.
+                // Completions of attempts that are no longer live (the
+                // VM crashed, a sibling won) arrive stale and are
+                // dropped wholly: no PE, busy-time or history
+                // bookkeeping.
                 let i = ac.index();
-                // A completion is live only while this attempt is
-                // still the one the engine believes is running: crash
-                // orphaning bumps `retries`, so completions from a
-                // dead VM arrive stale and are dropped wholly (no PE,
-                // busy-time or history bookkeeping).
-                let live = states[i] == AcState::Running
-                    && attempt == retries[i]
-                    && running_on[i] == Some(vm);
-                if live {
-                    running_on[i] = None;
-                    running -= 1;
-                    let te = (now - started_at).as_secs();
-                    let tf = (started_at - ready_at).as_secs().max(0.0);
-                    tracer.emit_with(|| TraceEvent::Finish {
-                        t: now.as_secs(),
+                if self.live_on(i, vm) == Some(attempt) {
+                    let (te, tf) = self.te_tf(started_at, ready_at);
+                    self.tracer.emit_with(|| TraceEvent::Finish {
+                        t,
                         ac: i as u32,
                         vm: vm.index() as u32,
                         attempt,
@@ -600,793 +439,563 @@ pub fn simulate_cached_traced(
                         queue_secs: tf,
                         failed,
                     });
-                    free_pes[vm.index()] += 1;
-                    vm_busy_secs[vm.index()] += te;
-                    history.record(vm, te, tf);
-                    scheduler.on_completion(
-                        &CompletionInfo {
-                            activation: ac,
-                            vm,
-                            queue_secs: tf,
-                            exec_secs: te,
-                            finished_at: now,
-                            attempt,
-                            failed,
-                        },
-                        &history,
-                    );
-
-                    if failed {
-                        if retries[i] < config.max_retries && !workflow_failed {
-                            // Retry: the activation re-enters the
-                            // ready queue, after backoff if enabled.
-                            retries[i] += 1;
-                            stats.retries += 1;
-                            tracer.emit_with(|| TraceEvent::Retry {
-                                t: now.as_secs(),
-                                ac: i as u32,
-                                next_attempt: retries[i],
-                            });
-                            let backoff = config.faults.backoff_secs(retries[i]);
-                            if backoff > 0.0 {
-                                states[i] = AcState::Waiting;
-                                sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
-                            } else {
-                                make_ready(states, ready, i, now);
-                            }
-                        } else {
-                            states[i] = AcState::Failed;
-                            workflow_failed = true;
-                        }
-                    } else {
-                        states[i] = AcState::Done;
-                        placed_on[i] = Some(vm);
-                        remaining -= 1;
-                        records.push(ActivationRecord {
-                            activation: ac,
-                            vm,
-                            ready_at,
-                            started_at,
-                            finished_at: now,
-                            retries: retries[i],
-                        });
-                        // Unlock children.
-                        for child in workflow.children(ac) {
-                            let c = child.index();
-                            if let AcState::Locked { remaining_parents } = &mut states[c] {
-                                *remaining_parents -= 1;
-                                if *remaining_parents == 0 {
-                                    make_ready(states, ready, c, now);
-                                }
-                            }
-                        }
+                    let drained = self.retire(ac, vm, attempt, te, tf, failed);
+                    if !failed {
+                        self.complete(ac, vm, attempt, started_at, ready_at);
+                    } else if drained {
+                        self.retry_or_fail(i, None)?;
                     }
                 }
             }
             Ev::Crash { vm, idx } => {
                 let v = vm.index();
-                if !blacklisted[v] {
-                    tracer.emit_with(|| TraceEvent::Fault {
-                        t: now.as_secs(),
-                        kind: "crash",
-                        ac: -1,
-                        vm: v as u32,
-                    });
-                    stats.crashes += 1;
+                if !self.arena.blacklisted[v] {
+                    self.trace_fault("crash", -1, vm);
+                    self.result.fault_stats.crashes += 1;
                     // Everything on the VM — free elements and the
                     // elements held by in-flight attempts — comes back
                     // at repair time; the attempts themselves are lost.
-                    let mut restore = free_pes[v];
-                    free_pes[v] = 0;
-                    if repl.active {
-                        // Group-aware orphaning: only the attempts on
-                        // the crashed VM are lost; surviving siblings
-                        // keep racing and no retry fires unless the
-                        // crash drained the whole group.
-                        for i in 0..n {
-                            if states[i] != AcState::Running {
-                                continue;
-                            }
-                            // At most one attempt per VM per group by
-                            // construction (replica placement skips
-                            // VMs already hosting the group).
-                            let Some(pos) = repl.groups[i].iter().position(|a| a.vm == vm) else {
-                                continue;
-                            };
-                            repl.groups[i].remove(pos);
-                            restore += 1;
-                            running -= 1;
-                            stats.orphaned += 1;
-                            tracer.emit_with(|| TraceEvent::Fault {
-                                t: now.as_secs(),
-                                kind: "crash",
-                                ac: i as i64,
-                                vm: v as u32,
-                            });
-                            if repl.groups[i].is_empty() {
-                                running_on[i] = None;
-                                repl.resolve(i, now, false, true);
-                                if retries[i] < config.max_retries && !workflow_failed {
-                                    retries[i] += 1;
-                                    stats.reschedules += 1;
-                                    tracer.emit_with(|| TraceEvent::Reschedule {
-                                        t: now.as_secs(),
-                                        ac: i as u32,
-                                        vm: v as u32,
-                                        next_attempt: retries[i],
-                                    });
-                                    let backoff = config.faults.backoff_secs(retries[i]);
-                                    if backoff > 0.0 {
-                                        states[i] = AcState::Waiting;
-                                        sim.schedule_in(
-                                            SimTime(backoff),
-                                            Ev::Wake { ac: ActivationId::from_index(i) },
-                                        )?;
-                                    } else {
-                                        make_ready(states, ready, i, now);
-                                    }
-                                } else {
-                                    states[i] = AcState::Failed;
-                                    workflow_failed = true;
-                                }
-                            }
+                    // Siblings elsewhere keep racing: no retry fires
+                    // unless the crash drained the activation's last
+                    // live attempt.
+                    let mut restore = self.arena.free_pes[v];
+                    self.arena.free_pes[v] = 0;
+                    for i in 0..self.arena.states.len() {
+                        if self.live_on(i, vm).is_none() {
+                            continue;
+                        }
+                        let drained = self.leave(i, vm);
+                        restore += 1;
+                        self.running -= 1;
+                        self.result.fault_stats.orphaned += 1;
+                        self.trace_fault("crash", i as i64, vm);
+                        if drained {
+                            self.retry_or_fail(i, Some(vm))?;
                         }
                     }
-                    for i in 0..n {
-                        if repl.active {
-                            // Handled by the group-aware loop above.
-                            break;
-                        }
-                        if states[i] == AcState::Running && running_on[i] == Some(vm) {
-                            restore += 1;
-                            running -= 1;
-                            running_on[i] = None;
-                            stats.orphaned += 1;
-                            tracer.emit_with(|| TraceEvent::Fault {
-                                t: now.as_secs(),
-                                kind: "crash",
-                                ac: i as i64,
-                                vm: v as u32,
-                            });
-                            if retries[i] < config.max_retries && !workflow_failed {
-                                retries[i] += 1;
-                                stats.reschedules += 1;
-                                tracer.emit_with(|| TraceEvent::Reschedule {
-                                    t: now.as_secs(),
-                                    ac: i as u32,
-                                    vm: v as u32,
-                                    next_attempt: retries[i],
-                                });
-                                let backoff = config.faults.backoff_secs(retries[i]);
-                                if backoff > 0.0 {
-                                    states[i] = AcState::Waiting;
-                                    sim.schedule_in(
-                                        SimTime(backoff),
-                                        Ev::Wake { ac: ActivationId::from_index(i) },
-                                    )?;
-                                } else {
-                                    make_ready(states, ready, i, now);
-                                }
-                            } else {
-                                states[i] = AcState::Failed;
-                                workflow_failed = true;
-                            }
-                        }
-                    }
-                    vm_faults[v] += 1;
-                    if config.faults.blacklist_after > 0
-                        && vm_faults[v] >= config.faults.blacklist_after
-                    {
-                        blacklisted[v] = true;
-                        stats.blacklisted += 1;
-                        tracer.emit_with(|| TraceEvent::Blacklist {
-                            t: now.as_secs(),
-                            vm: v as u32,
-                            faults: vm_faults[v],
-                        });
-                    } else {
-                        sim.schedule_in(
-                            SimTime(config.faults.repair_secs),
+                    self.note_vm_fault(vm);
+                    // A VM this crash got blacklisted stays down.
+                    if !self.arena.blacklisted[v] {
+                        self.arena.sim.schedule_in(
+                            SimTime(self.config.faults.repair_secs),
                             Ev::Repair { vm, pes: restore },
                         )?;
-                        if let Some(t_next) = faults.crash(vm, idx + 1) {
-                            sim.schedule(t_next, Ev::Crash { vm, idx: idx + 1 })?;
+                        if let Some(t_next) = self.faults.crash(vm, idx + 1) {
+                            self.arena.sim.schedule(t_next, Ev::Crash { vm, idx: idx + 1 })?;
                         }
                     }
                 }
             }
             Ev::Repair { vm, pes } => {
                 let v = vm.index();
-                if !blacklisted[v] {
-                    free_pes[v] += pes;
-                    stats.recoveries += 1;
-                    tracer.emit_with(|| TraceEvent::Recover {
-                        t: now.as_secs(),
-                        vm: v as u32,
-                        pes,
-                    });
-                }
-            }
-            Ev::TimedOut { ac, vm, started_at, ready_at, attempt } if repl.active => {
-                // Group-aware timeout: the timed-out attempt dies and
-                // is billed like a failed completion, but surviving
-                // siblings keep racing; the reschedule machinery only
-                // fires when the group drains.
-                let i = ac.index();
-                let live = states[i] == AcState::Running
-                    && repl.groups[i].iter().any(|a| a.attempt == attempt && a.vm == vm);
-                if live {
-                    let v = vm.index();
-                    let te = (now - started_at).as_secs();
-                    let tf = (started_at - ready_at).as_secs().max(0.0);
-                    tracer.emit_with(|| TraceEvent::Fault {
-                        t: now.as_secs(),
-                        kind: "timeout",
-                        ac: i as i64,
-                        vm: v as u32,
-                    });
-                    stats.timeouts += 1;
-                    free_pes[v] += 1;
-                    vm_busy_secs[v] += te;
-                    running -= 1;
-                    repl.groups[i].retain(|a| !(a.attempt == attempt && a.vm == vm));
-                    history.record(vm, te, tf);
-                    scheduler.on_completion(
-                        &CompletionInfo {
-                            activation: ac,
-                            vm,
-                            queue_secs: tf,
-                            exec_secs: te,
-                            finished_at: now,
-                            attempt,
-                            failed: true,
-                        },
-                        &history,
-                    );
-                    vm_faults[v] += 1;
-                    if config.faults.blacklist_after > 0
-                        && vm_faults[v] >= config.faults.blacklist_after
-                        && !blacklisted[v]
-                    {
-                        blacklisted[v] = true;
-                        stats.blacklisted += 1;
-                        tracer.emit_with(|| TraceEvent::Blacklist {
-                            t: now.as_secs(),
-                            vm: v as u32,
-                            faults: vm_faults[v],
-                        });
-                    }
-                    if repl.groups[i].is_empty() {
-                        running_on[i] = None;
-                        repl.resolve(i, now, false, true);
-                        if retries[i] < config.max_retries && !workflow_failed {
-                            retries[i] += 1;
-                            stats.reschedules += 1;
-                            tracer.emit_with(|| TraceEvent::Reschedule {
-                                t: now.as_secs(),
-                                ac: i as u32,
-                                vm: v as u32,
-                                next_attempt: retries[i],
-                            });
-                            let backoff = config.faults.backoff_secs(retries[i]);
-                            if backoff > 0.0 {
-                                states[i] = AcState::Waiting;
-                                sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
-                            } else {
-                                make_ready(states, ready, i, now);
-                            }
-                        } else {
-                            states[i] = AcState::Failed;
-                            workflow_failed = true;
-                        }
-                    }
+                if !self.arena.blacklisted[v] {
+                    self.arena.free_pes[v] += pes;
+                    self.result.fault_stats.recoveries += 1;
+                    self.tracer.emit_with(|| TraceEvent::Recover { t, vm: v as u32, pes });
                 }
             }
             Ev::TimedOut { ac, vm, started_at, ready_at, attempt } => {
+                // The timed-out attempt dies. It consumed the VM for the
+                // whole timeout window, so busy time, history and the
+                // scheduler all observe it as a failed attempt — the RL
+                // penalty hook fires through the normal completion path.
+                // Surviving siblings keep racing: the reschedule
+                // machinery only fires when it was the last one.
                 let i = ac.index();
-                let live = states[i] == AcState::Running
-                    && attempt == retries[i]
-                    && running_on[i] == Some(vm);
-                if live {
-                    let v = vm.index();
-                    // The attempt consumed the VM for the whole
-                    // timeout window, so busy time, history and the
-                    // scheduler all observe it as a failed attempt —
-                    // the RL penalty hook fires through the normal
-                    // completion path.
-                    let te = (now - started_at).as_secs();
-                    let tf = (started_at - ready_at).as_secs().max(0.0);
-                    tracer.emit_with(|| TraceEvent::Fault {
-                        t: now.as_secs(),
-                        kind: "timeout",
-                        ac: i as i64,
-                        vm: v as u32,
-                    });
-                    stats.timeouts += 1;
-                    free_pes[v] += 1;
-                    vm_busy_secs[v] += te;
-                    running_on[i] = None;
-                    running -= 1;
-                    history.record(vm, te, tf);
-                    scheduler.on_completion(
-                        &CompletionInfo {
-                            activation: ac,
-                            vm,
-                            queue_secs: tf,
-                            exec_secs: te,
-                            finished_at: now,
-                            attempt,
-                            failed: true,
-                        },
-                        &history,
-                    );
-                    vm_faults[v] += 1;
-                    if config.faults.blacklist_after > 0
-                        && vm_faults[v] >= config.faults.blacklist_after
-                        && !blacklisted[v]
-                    {
-                        blacklisted[v] = true;
-                        stats.blacklisted += 1;
-                        tracer.emit_with(|| TraceEvent::Blacklist {
-                            t: now.as_secs(),
-                            vm: v as u32,
-                            faults: vm_faults[v],
-                        });
-                    }
-                    if retries[i] < config.max_retries && !workflow_failed {
-                        retries[i] += 1;
-                        stats.reschedules += 1;
-                        tracer.emit_with(|| TraceEvent::Reschedule {
-                            t: now.as_secs(),
-                            ac: i as u32,
-                            vm: v as u32,
-                            next_attempt: retries[i],
-                        });
-                        let backoff = config.faults.backoff_secs(retries[i]);
-                        if backoff > 0.0 {
-                            states[i] = AcState::Waiting;
-                            sim.schedule_in(SimTime(backoff), Ev::Wake { ac })?;
-                        } else {
-                            make_ready(states, ready, i, now);
-                        }
-                    } else {
-                        states[i] = AcState::Failed;
-                        workflow_failed = true;
+                if self.live_on(i, vm) == Some(attempt) {
+                    let (te, tf) = self.te_tf(started_at, ready_at);
+                    self.trace_fault("timeout", i as i64, vm);
+                    self.result.fault_stats.timeouts += 1;
+                    let drained = self.retire(ac, vm, attempt, te, tf, true);
+                    self.note_vm_fault(vm);
+                    if drained {
+                        self.retry_or_fail(i, Some(vm))?;
                     }
                 }
             }
             Ev::Wake { ac } => {
-                let i = ac.index();
-                if states[i] == AcState::Waiting {
-                    make_ready(states, ready, i, now);
+                if self.arena.states[ac.index()] == AcState::Waiting {
+                    self.make_ready(ac.index(), now);
                 }
             }
         }
+        Ok(())
+    }
 
-        // With faults active the heap can hold crash/repair events far
-        // beyond the workflow's lifetime; stop as soon as the outcome
-        // is decided (success, or failure with all attempts drained).
-        // Gated so fault-free runs keep their historical drain
-        // semantics byte-for-byte.
-        if faults_active && (remaining == 0 || (workflow_failed && running == 0)) {
-            break;
-        }
+    // The live attempts of activation `i` have two representations, and
+    // `live_on`, `enter` and `leave` are the only code that knows it.
+    // Replication off: at most one attempt, spelled `retries[i]` (its
+    // id) and `running_on[i]` (its VM) — no vector is touched, so a run
+    // that never replicates pays nothing per activation for the feature.
+    // Replication on: `repl_groups[i]`, which holds at most one attempt
+    // per VM because `cloud::replica_targets` never places two there.
+    // Merging the two (a one-element group when off) was measured at
+    // +17 % per event on the fault-free path and ruled out.
 
-        let pass_t0 = tracer.phase_start();
-        scheduling_pass(
-            sim,
-            cache,
-            fleet,
-            scheduler,
-            config,
-            states,
-            free_pes,
-            &mut plan,
-            &history,
-            placed_on,
-            fluct.as_mut(),
-            &failures,
-            &faults,
-            &migrations,
-            retries,
-            vm_busy_secs,
-            workflow_failed,
-            ready,
-            idle,
-            running_on,
-            &mut running,
-            blacklisted,
-            &mut stats,
-            &mut repl,
-            workflow,
-            tracer,
-        )?;
-        if let Some(t0) = pass_t0 {
-            sched_wall_secs += t0.elapsed().as_secs_f64();
+    /// The id of activation `i`'s live attempt on `vm`, if it has one.
+    /// An event whose attempt id is not this one is stale: crash
+    /// orphaning and retries move the id on, so completions from a dead
+    /// VM or a cancelled sibling no longer match.
+    fn live_on(&self, i: usize, vm: VmId) -> Option<u32> {
+        if self.arena.states[i] != AcState::Running {
+            None
+        } else if self.replicating {
+            self.arena.repl_groups[i].iter().find(|a| a.vm == vm).map(|a| a.attempt)
+        } else {
+            (self.arena.running_on[i] == Some(vm)).then_some(self.arena.retries[i])
         }
     }
 
-    let success = remaining == 0 && !workflow_failed;
-    let makespan = sim.now();
-    if tracer.timing_enabled() {
-        tracer.emit_phase_secs("sim.sched", sched_wall_secs);
-        tracer.emit_phase("sim.total", sim_t0);
-    }
-    tracer.emit_with(|| TraceEvent::SimEnd {
-        t: makespan.as_secs(),
-        success,
-        events: processed,
-        queue_pushes: sim.pushes(),
-        max_queue_depth: sim.max_pending() as u64,
-    });
-    let result = SimResult {
-        makespan,
-        success,
-        records,
-        plan,
-        history,
-        vm_busy_secs: vm_busy_secs.clone(),
-        events_processed: processed,
-        fault_stats: stats,
-        repl_stats: repl.stats,
-        repl_decisions: repl.decisions,
-    };
-    scheduler.on_episode_end(&result);
-    Ok(result)
-}
-
-/// Move activation `i` into [`AcState::Ready`] — the only way in — and
-/// with it into `ready`, the id-sorted set [`SchedulerContext::ready`]
-/// shows the scheduler. A binary-search insert: the set is kept across
-/// the episode, not refilled from `states` at every consultation.
-fn make_ready(states: &mut [AcState], ready: &mut Vec<ActivationId>, i: usize, since: SimTime) {
-    states[i] = AcState::Ready { since };
-    let ac = ActivationId::from_index(i);
-    if let Err(pos) = ready.binary_search(&ac) {
-        ready.insert(pos, ac);
-    }
-}
-
-/// While the workflow is *available*, consult the scheduler and apply
-/// assignments. When `halted` (a terminal failure occurred), no new
-/// work is started — running activations just drain.
-///
-/// `ready` is maintained, not rebuilt: [`make_ready`] is its only way
-/// in and the `Assign` arm below its only way out, so a consultation
-/// costs O(|VM|) for the idle scan plus O(log n) for the set, where
-/// scanning every activation state was O(n). Debug builds check the set
-/// against that scan at every consultation.
-#[allow(clippy::too_many_arguments)]
-fn scheduling_pass(
-    sim: &mut Simulation<Ev>,
-    cache: &WorkflowCache,
-    fleet: &Fleet,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    states: &mut [AcState],
-    free_pes: &mut [u32],
-    plan: &mut Plan,
-    history: &ExecHistory,
-    placed_on: &[Option<VmId>],
-    fluct: &mut dyn FluctuationModel,
-    failures: &FailureModel,
-    faults: &FaultModel,
-    migrations: &MigrationModel,
-    retries: &[u32],
-    vm_busy_secs: &[f64],
-    halted: bool,
-    ready: &mut Vec<ActivationId>,
-    idle: &mut Vec<(VmId, u32)>,
-    running_on: &mut [Option<VmId>],
-    running: &mut usize,
-    blacklisted: &[bool],
-    stats: &mut FaultStats,
-    repl: &mut ReplState,
-    workflow: &Workflow,
-    tracer: &mut Tracer<'_>,
-) -> Result<()> {
-    if halted {
-        return Ok(());
-    }
-    let mut first_consultation = true;
-    loop {
-        debug_assert!(
-            ready.iter().copied().eq(states
-                .iter()
-                .enumerate()
-                .filter(|&(_i, s)| matches!(s, AcState::Ready { .. }))
-                .map(|(i, _s)| ActivationId::from_index(i))),
-            "ready set {ready:?} drifted from the activation states"
-        );
-        if ready.is_empty() {
-            return Ok(()); // workflow is *unavailable*: implicit do-nothing
+    /// Record an attempt of activation `i` launched at `now` as live.
+    fn enter(&mut self, i: usize, attempt: u32, vm: VmId, now: SimTime) {
+        if self.replicating {
+            // Launch order: the primary's completion event is queued
+            // first, so exact finish-time ties resolve in its favor
+            // (the kernel pops same-time events FIFO).
+            self.arena.repl_groups[i].push(RepAttempt { attempt, vm, started_at: now });
+        } else {
+            self.arena.running_on[i] = Some(vm);
         }
-        idle.clear();
-        idle.extend(
-            free_pes
-                .iter()
-                .enumerate()
-                .filter(|&(i, &f)| f > 0 && !blacklisted[i])
-                .map(|(i, &f)| (VmId::from_index(i), f)),
-        );
-        if idle.is_empty() {
-            return Ok(()); // nothing idle: unavailable too
+    }
+
+    /// Take activation `i`'s live attempt on `vm` out; `true` when it
+    /// was the last one (always, when replication is off).
+    fn leave(&mut self, i: usize, vm: VmId) -> bool {
+        if self.replicating {
+            let group = &mut self.arena.repl_groups[i];
+            group.retain(|a| a.vm != vm);
+            group.is_empty()
+        } else {
+            self.arena.running_on[i] = None;
+            true
         }
-        if first_consultation {
-            first_consultation = false;
-            tracer.emit_with(|| TraceEvent::Sched {
-                t: sim.now().as_secs(),
-                ready: ready.len() as u32,
-                idle_pes: idle.iter().map(|&(_, f)| f).sum(),
+    }
+
+    /// Close the replication decision pending for activation `i` with
+    /// its outcome (`repl_pending` is empty when replication is off:
+    /// nothing to close).
+    fn resolve(&mut self, i: usize, replica_won: bool, group_failed: bool) {
+        if let Some(d) = self.arena.repl_pending.get_mut(i).and_then(Option::take) {
+            self.result.repl_decisions.push(ReplDecision {
+                activation: i as u32,
+                bucket: d.bucket,
+                requested: d.requested,
+                launched: d.launched,
+                primary_secs: d.primary_secs,
+                group_secs: (self.arena.sim.now() - d.start_t).as_secs(),
+                waste_secs: d.waste_secs,
+                replica_won,
+                group_failed,
             });
         }
-        let ctx =
-            SchedulerContext { now: sim.now(), workflow, fleet, ready, idle_slots: idle, history };
-        match scheduler.decide(&ctx) {
-            Decision::DoNothing => return Ok(()),
-            Decision::Assign { activation, vm } => {
-                let i = activation.index();
-                let since = match states.get(i) {
-                    Some(AcState::Ready { since }) => *since,
-                    _ => {
-                        return Err(Error::InvalidPlan(format!(
-                            "scheduler assigned non-ready activation {activation}"
-                        )))
-                    }
-                };
-                let v = vm.index();
-                if v >= free_pes.len() || free_pes[v] == 0 {
-                    return Err(Error::InvalidPlan(format!(
-                        "scheduler assigned {activation} to busy/unknown {vm}"
-                    )));
-                }
-                // The one way out of `Ready` (and so out of `ready`).
-                let Ok(pos) = ready.binary_search(&activation) else {
-                    return Err(Error::InvalidPlan(format!(
-                        "scheduler assigned {activation}, which is ready but not in the ready set"
-                    )));
-                };
-                ready.remove(pos);
-                free_pes[v] -= 1;
-                states[i] = AcState::Running;
-                plan.assign(activation, vm);
+    }
 
-                let now = sim.now();
-                tracer.emit_with(|| TraceEvent::Start {
-                    t: now.as_secs(),
-                    ac: i as u32,
-                    vm: v as u32,
-                    attempt: retries[i],
-                    ready_since: since.as_secs(),
-                });
-                let mut duration = execution_secs(
-                    cache,
-                    workflow,
-                    fleet,
-                    config,
-                    placed_on,
-                    fluct,
-                    migrations,
-                    activation,
-                    vm,
-                    now,
-                    vm_busy_secs[v],
-                );
-                let slowdown = faults.slowdown(activation, vm, retries[i]);
-                if slowdown > 1.0 {
-                    duration *= slowdown;
-                    stats.stragglers += 1;
-                    tracer.emit_with(|| TraceEvent::Fault {
-                        t: now.as_secs(),
-                        kind: "straggler",
-                        ac: i as i64,
-                        vm: v as u32,
-                    });
-                }
-                running_on[i] = Some(vm);
-                *running += 1;
-                let timeout = config.faults.timeout_secs;
-                if timeout > 0.0 && duration > timeout {
-                    // The attempt is doomed upfront (both its length
-                    // and the bound are known now), so the kill event
-                    // replaces the completion event entirely.
-                    sim.schedule_in(
-                        SimTime(timeout),
-                        Ev::TimedOut {
-                            ac: activation,
-                            vm,
-                            started_at: now,
-                            ready_at: since,
-                            attempt: retries[i],
-                        },
-                    )?;
-                } else {
-                    let failed = config.failure_prob > 0.0
-                        && failures.draw(activation, vm, retries[i]) == Attempt::Fails;
-                    sim.schedule_in(
-                        SimTime(duration),
-                        Ev::Finished {
-                            ac: activation,
-                            vm,
-                            started_at: now,
-                            ready_at: since,
-                            attempt: retries[i],
-                            failed,
-                        },
-                    )?;
-                }
+    /// The paper's two observables of an attempt that ends now: execution
+    /// time `te` (start → now) and queue time `tf` (ready → start).
+    fn te_tf(&self, started_at: SimTime, ready_at: SimTime) -> (f64, f64) {
+        let te = (self.arena.sim.now() - started_at).as_secs();
+        (te, (started_at - ready_at).as_secs().max(0.0))
+    }
 
-                if repl.active {
-                    // The primary's completion event is queued first,
-                    // so exact finish-time ties resolve in its favor
-                    // (the kernel pops same-time events FIFO).
-                    repl.groups[i].clear();
-                    repl.groups[i].push(RepAttempt { attempt: retries[i], vm, started_at: now });
-                    let pressure = blacklisted.iter().filter(|&&b| b).count();
-                    let features = ReplFeatures {
-                        attempt: retries[i],
-                        blacklist_frac: pressure as f64 / fleet.len() as f64,
-                        slack_frac: if repl.cp_total > 0.0 {
-                            (cache.rank(i) / repl.cp_total).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        },
-                    };
-                    let bucket = features.bucket();
-                    let requested = config.replication.extra_replicas(&features);
-                    let mut launched = 0u32;
-                    // Replica placement: round-robin scan outward from
-                    // the primary's VM, one replica per distinct VM
-                    // (co-located replicas share the fault domain and
-                    // hedge nothing).
-                    let nv = fleet.len();
-                    let mut offset = 1;
-                    while launched < requested && offset < nv {
-                        let cv = (v + offset) % nv;
-                        offset += 1;
-                        if blacklisted[cv]
-                            || free_pes[cv] == 0
-                            || repl.groups[i].iter().any(|a| a.vm.index() == cv)
-                        {
-                            continue;
-                        }
-                        let cvm = VmId::from_index(cv);
-                        let attempt_id = REPLICA_ATTEMPT_BASE + repl.rep_seq[i];
-                        repl.rep_seq[i] += 1;
-                        free_pes[cv] -= 1;
-                        *running += 1;
-                        tracer.emit_with(|| TraceEvent::Replicate {
-                            t: now.as_secs(),
-                            ac: i as u32,
-                            vm: cv as u32,
-                            attempt: attempt_id,
-                            ready_since: since.as_secs(),
-                        });
-                        let mut rdur = execution_secs(
-                            cache,
-                            workflow,
-                            fleet,
-                            config,
-                            placed_on,
-                            fluct,
-                            migrations,
-                            activation,
-                            cvm,
-                            now,
-                            vm_busy_secs[cv],
-                        );
-                        let rslow = faults.slowdown(activation, cvm, attempt_id);
-                        if rslow > 1.0 {
-                            rdur *= rslow;
-                            stats.stragglers += 1;
-                            tracer.emit_with(|| TraceEvent::Fault {
-                                t: now.as_secs(),
-                                kind: "straggler",
-                                ac: i as i64,
-                                vm: cv as u32,
-                            });
-                        }
-                        repl.groups[i].push(RepAttempt {
-                            attempt: attempt_id,
-                            vm: cvm,
-                            started_at: now,
-                        });
-                        if timeout > 0.0 && rdur > timeout {
-                            sim.schedule_in(
-                                SimTime(timeout),
-                                Ev::TimedOut {
-                                    ac: activation,
-                                    vm: cvm,
-                                    started_at: now,
-                                    ready_at: since,
-                                    attempt: attempt_id,
-                                },
-                            )?;
-                        } else {
-                            let rfailed = config.failure_prob > 0.0
-                                && failures.draw(activation, cvm, attempt_id) == Attempt::Fails;
-                            sim.schedule_in(
-                                SimTime(rdur),
-                                Ev::Finished {
-                                    ac: activation,
-                                    vm: cvm,
-                                    started_at: now,
-                                    ready_at: since,
-                                    attempt: attempt_id,
-                                    failed: rfailed,
-                                },
-                            )?;
-                        }
-                        repl.stats.launched += 1;
-                        launched += 1;
-                    }
-                    repl.pending[i] = Some(PendingDecision {
-                        bucket: bucket as u8,
-                        requested: requested as u8,
-                        launched: launched as u8,
-                        primary_secs: duration,
-                        start_t: now,
-                        waste_secs: 0.0,
-                    });
+    /// A live attempt, its end already traced, stops occupying its
+    /// element: bill the element and the busy time, take the attempt out
+    /// of the live set, and let the history and the scheduler observe
+    /// `te`/`tf`. Returns whether it was the activation's last live
+    /// attempt.
+    fn retire(
+        &mut self,
+        ac: ActivationId,
+        vm: VmId,
+        attempt: u32,
+        te: f64,
+        tf: f64,
+        failed: bool,
+    ) -> bool {
+        let v = vm.index();
+        self.arena.free_pes[v] += 1;
+        self.arena.vm_busy_secs[v] += te;
+        self.running -= 1;
+        let drained = self.leave(ac.index(), vm);
+        self.result.history.record(vm, te, tf);
+        self.scheduler.on_completion(
+            &CompletionInfo {
+                activation: ac,
+                vm,
+                queue_secs: tf,
+                exec_secs: te,
+                finished_at: self.arena.sim.now(),
+                attempt,
+                failed,
+            },
+            &self.result.history,
+        );
+        drained
+    }
+
+    /// A successful attempt, already retired, makes its activation
+    /// `Done`: every surviving sibling is cancelled, its occupied
+    /// PE-seconds billed as waste; the record is written and the
+    /// children unlocked.
+    fn complete(
+        &mut self,
+        ac: ActivationId,
+        vm: VmId,
+        attempt: u32,
+        started_at: SimTime,
+        ready_at: SimTime,
+    ) {
+        let i = ac.index();
+        let now = self.arena.sim.now();
+        while self.replicating && !self.arena.repl_groups[i].is_empty() {
+            let sibling = self.arena.repl_groups[i].remove(0);
+            let cv = sibling.vm.index();
+            let billed = (now - sibling.started_at).as_secs();
+            self.tracer.emit_with(|| TraceEvent::Cancel {
+                t: now.as_secs(),
+                ac: i as u32,
+                vm: cv as u32,
+                attempt: sibling.attempt,
+            });
+            self.arena.free_pes[cv] += 1;
+            self.arena.vm_busy_secs[cv] += billed;
+            self.running -= 1;
+            self.result.repl_stats.cancelled += 1;
+            self.result.repl_stats.waste_secs += billed;
+            if let Some(d) = self.arena.repl_pending[i].as_mut() {
+                d.waste_secs += billed;
+            }
+        }
+        let replica_won = attempt >= REPLICA_ATTEMPT_BASE;
+        if replica_won {
+            self.result.repl_stats.replica_wins += 1;
+        }
+        self.resolve(i, replica_won, false);
+        self.arena.states[i] = AcState::Done;
+        self.arena.placed_on[i] = Some(vm);
+        self.remaining -= 1;
+        self.result.records.push(ActivationRecord {
+            activation: ac,
+            vm,
+            ready_at,
+            started_at,
+            finished_at: now,
+            retries: self.arena.retries[i],
+        });
+        for child in self.workflow.children(ac) {
+            let c = child.index();
+            if let AcState::Locked { remaining_parents } = &mut self.arena.states[c] {
+                *remaining_parents -= 1;
+                if *remaining_parents == 0 {
+                    self.make_ready(c, now);
                 }
             }
         }
     }
-}
 
-/// Wall-clock seconds one attempt takes: stage-in transfers + compute
-/// (scaled by the fluctuation factor) + migration stalls.
-#[allow(clippy::too_many_arguments)]
-fn execution_secs(
-    cache: &WorkflowCache,
-    workflow: &Workflow,
-    fleet: &Fleet,
-    config: &SimConfig,
-    placed_on: &[Option<VmId>],
-    fluct: &mut dyn FluctuationModel,
-    migrations: &MigrationModel,
-    ac: ActivationId,
-    vm: VmId,
-    now: SimTime,
-    vm_busy_so_far_secs: f64,
-) -> f64 {
-    // Transfers: parent outputs materialized on other VMs must cross
-    // the network; co-located files are free. Per-edge byte counts and
-    // the producer-less stage-in volume are precomputed in the cache.
-    let i = ac.index();
-    let mut transfer_bytes: u64 = 0;
-    for &(parent, bytes) in cache.parents(i) {
-        if placed_on[parent as usize] != Some(vm) {
-            transfer_bytes += bytes;
+    /// Activation `i` has no live attempt left and did not succeed — the
+    /// last one ran to its end and failed (a `retry`), or was lost with,
+    /// or killed on, the VM `lost_on` by a crash or a timeout (a
+    /// `reschedule`). Retry it, after its backoff if one is configured,
+    /// while the budget lasts and the workflow has not failed; otherwise
+    /// it is `Failed` and takes the workflow with it.
+    fn retry_or_fail(&mut self, i: usize, lost_on: Option<VmId>) -> Result<()> {
+        let now = self.arena.sim.now();
+        self.resolve(i, false, true);
+        if self.arena.retries[i] < self.config.max_retries && !self.workflow_failed {
+            self.arena.retries[i] += 1;
+            let (t, ac, next_attempt) = (now.as_secs(), i as u32, self.arena.retries[i]);
+            match lost_on {
+                None => {
+                    self.result.fault_stats.retries += 1;
+                    self.tracer.emit_with(|| TraceEvent::Retry { t, ac, next_attempt });
+                }
+                Some(vm) => {
+                    self.result.fault_stats.reschedules += 1;
+                    let vm = vm.index() as u32;
+                    self.tracer.emit_with(|| TraceEvent::Reschedule { t, ac, vm, next_attempt });
+                }
+            }
+            let backoff = self.config.faults.backoff_secs(next_attempt);
+            if backoff > 0.0 {
+                self.arena.states[i] = AcState::Waiting;
+                self.arena
+                    .sim
+                    .schedule_in(SimTime(backoff), Ev::Wake { ac: ActivationId::from_index(i) })?;
+            } else {
+                self.make_ready(i, now);
+            }
+        } else {
+            self.arena.states[i] = AcState::Failed;
+            self.workflow_failed = true;
+        }
+        Ok(())
+    }
+
+    /// Count a crash or timeout against `vm` and blacklist it for good
+    /// at the configured threshold.
+    fn note_vm_fault(&mut self, vm: VmId) {
+        let v = vm.index();
+        self.arena.vm_faults[v] += 1;
+        if self.config.faults.blacklist_after > 0
+            && self.arena.vm_faults[v] >= self.config.faults.blacklist_after
+            && !self.arena.blacklisted[v]
+        {
+            self.arena.blacklisted[v] = true;
+            self.result.fault_stats.blacklisted += 1;
+            let (t, faults) = (self.arena.sim.now().as_secs(), self.arena.vm_faults[v]);
+            self.tracer.emit_with(|| TraceEvent::Blacklist { t, vm: v as u32, faults });
         }
     }
-    if config.stage_in_inputs {
-        // Workflow-input files (no producer) come from shared storage.
-        transfer_bytes += cache.external_input_bytes(i);
-    }
-    let transfer_secs = transfer_bytes as f64 / config.bandwidth_bytes_per_sec;
 
-    let vm_type = &fleet.vm(vm).vm_type;
-    let base = vm_type.exec_secs(workflow.activations[ac].length_mi);
-    let factor = fluct.factor(vm, now.as_secs());
-    let mut compute_secs = base * factor;
-    if config.burst_throttling && vm_type.baseline_fraction < 1.0 {
-        let credits =
-            vm_type.burst_credit_secs_per_pe * vm_type.pes as f64 * config.burst_credit_scale;
-        if vm_busy_so_far_secs >= credits {
-            // Credits exhausted: the whole execution runs at baseline.
-            compute_secs /= vm_type.baseline_fraction;
-        } else if vm_busy_so_far_secs + compute_secs > credits {
-            // Burst covers only the head of the execution.
-            let full_speed = credits - vm_busy_so_far_secs;
-            let remainder = compute_secs - full_speed;
-            compute_secs = full_speed + remainder / vm_type.baseline_fraction;
+    /// Trace one injected fault (`ac` is -1 for a fault of the VM itself).
+    fn trace_fault(&mut self, kind: &'static str, ac: i64, vm: VmId) {
+        let t = self.arena.sim.now().as_secs();
+        self.tracer.emit_with(|| TraceEvent::Fault { t, kind, ac, vm: vm.index() as u32 });
+    }
+
+    /// Move activation `i` into [`AcState::Ready`] — the only way in —
+    /// and with it into `ready`, the id-sorted set
+    /// [`SchedulerContext::ready`] shows the scheduler. A binary-search
+    /// insert: the set is kept across the episode, not refilled from
+    /// `states` at every consultation.
+    fn make_ready(&mut self, i: usize, since: SimTime) {
+        self.arena.states[i] = AcState::Ready { since };
+        let ac = ActivationId::from_index(i);
+        if let Err(pos) = self.arena.ready.binary_search(&ac) {
+            self.arena.ready.insert(pos, ac);
         }
     }
 
-    let pre_stall = transfer_secs + compute_secs;
-    let stall = migrations.stall_secs(vm, now, now + SimTime(pre_stall));
-    pre_stall + stall
+    /// One scheduling pass, on the `sim.sched` phase timer.
+    fn schedule(&mut self) -> Result<()> {
+        let t0 = self.tracer.phase_start();
+        let pass = self.scheduling_pass();
+        if let Some(t0) = t0 {
+            self.sched_wall_secs += t0.elapsed().as_secs_f64();
+        }
+        pass
+    }
+
+    /// While the workflow is *available*, consult the scheduler and apply
+    /// assignments. Once the workflow has failed, no new work is started
+    /// — running activations just drain.
+    ///
+    /// `ready` is maintained, not rebuilt: [`Self::make_ready`] is its
+    /// only way in and the `Assign` arm below its only way out, so a
+    /// consultation costs O(|VM|) for the idle scan plus O(log n) for
+    /// the set, where scanning every activation state was O(n). Debug
+    /// builds check the set against that scan at every consultation.
+    fn scheduling_pass(&mut self) -> Result<()> {
+        if self.workflow_failed {
+            return Ok(());
+        }
+        let mut first_consultation = true;
+        loop {
+            debug_assert!(
+                self.arena.ready.iter().copied().eq(self
+                    .arena
+                    .states
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_i, s)| matches!(s, AcState::Ready { .. }))
+                    .map(|(i, _s)| ActivationId::from_index(i))),
+                "ready set {:?} drifted from the activation states",
+                self.arena.ready
+            );
+            if self.arena.ready.is_empty() {
+                return Ok(()); // workflow is *unavailable*: implicit do-nothing
+            }
+            self.arena.idle.clear();
+            self.arena.idle.extend(
+                self.arena
+                    .free_pes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(v, &free)| free > 0 && !self.arena.blacklisted[v])
+                    .map(|(v, &free)| (VmId::from_index(v), free)),
+            );
+            if self.arena.idle.is_empty() {
+                return Ok(()); // nothing idle: unavailable too
+            }
+            let now = self.arena.sim.now();
+            if first_consultation {
+                first_consultation = false;
+                let (ready, idle) = (&*self.arena.ready, &*self.arena.idle);
+                self.tracer.emit_with(|| TraceEvent::Sched {
+                    t: now.as_secs(),
+                    ready: ready.len() as u32,
+                    idle_pes: idle.iter().map(|&(_, f)| f).sum(),
+                });
+            }
+            let ctx = SchedulerContext {
+                now,
+                workflow: self.workflow,
+                fleet: self.fleet,
+                ready: self.arena.ready.as_slice(),
+                idle_slots: self.arena.idle.as_slice(),
+                history: &self.result.history,
+            };
+            match self.scheduler.decide(&ctx) {
+                Decision::DoNothing => return Ok(()),
+                Decision::Assign { activation, vm } => {
+                    let i = activation.index();
+                    let since = match self.arena.states.get(i) {
+                        Some(AcState::Ready { since }) => *since,
+                        _ => {
+                            return Err(Error::InvalidPlan(format!(
+                                "scheduler assigned non-ready activation {activation}"
+                            )))
+                        }
+                    };
+                    let v = vm.index();
+                    if v >= self.arena.free_pes.len() || self.arena.free_pes[v] == 0 {
+                        return Err(Error::InvalidPlan(format!(
+                            "scheduler assigned {activation} to busy/unknown {vm}"
+                        )));
+                    }
+                    // The one way out of `Ready` (and so out of `ready`).
+                    let Ok(pos) = self.arena.ready.binary_search(&activation) else {
+                        return Err(Error::InvalidPlan(format!(
+                            "scheduler assigned {activation}, which is ready but not in the ready set"
+                        )));
+                    };
+                    self.arena.ready.remove(pos);
+                    self.arena.states[i] = AcState::Running;
+                    self.result.plan.assign(activation, vm);
+                    let primary_secs = self.launch(activation, vm, self.arena.retries[i], since)?;
+                    if self.replicating {
+                        self.replicate(activation, vm, since, primary_secs)?;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Start one attempt of `ac` on `vm` — the primary (`attempt` is the
+    /// retry count) or a replica (`attempt >= REPLICA_ATTEMPT_BASE`) —
+    /// and queue the event that ends it. Returns its duration.
+    fn launch(&mut self, ac: ActivationId, vm: VmId, attempt: u32, since: SimTime) -> Result<f64> {
+        let (i, v) = (ac.index(), vm.index());
+        let now = self.arena.sim.now();
+        self.arena.free_pes[v] -= 1;
+        self.running += 1;
+        self.tracer.emit_with(|| {
+            let (t, ac, vm, ready_since) = (now.as_secs(), i as u32, v as u32, since.as_secs());
+            if attempt >= REPLICA_ATTEMPT_BASE {
+                TraceEvent::Replicate { t, ac, vm, attempt, ready_since }
+            } else {
+                TraceEvent::Start { t, ac, vm, attempt, ready_since }
+            }
+        });
+        let mut duration = self.execution_secs(ac, vm, now);
+        let slowdown = self.faults.slowdown(ac, vm, attempt);
+        if slowdown > 1.0 {
+            duration *= slowdown;
+            self.result.fault_stats.stragglers += 1;
+            self.trace_fault("straggler", i as i64, vm);
+        }
+        self.enter(i, attempt, vm, now);
+        let timeout = self.config.faults.timeout_secs;
+        let (after, ev) = if timeout > 0.0 && duration > timeout {
+            // The attempt is doomed upfront (both its length and the
+            // bound are known now), so the kill event replaces the
+            // completion event entirely.
+            (timeout, Ev::TimedOut { ac, vm, started_at: now, ready_at: since, attempt })
+        } else {
+            let failed = self.config.failure_prob > 0.0
+                && self.failures.draw(ac, vm, attempt) == Attempt::Fails;
+            (duration, Ev::Finished { ac, vm, started_at: now, ready_at: since, attempt, failed })
+        };
+        self.arena.sim.schedule_in(SimTime(after), ev)?;
+        Ok(duration)
+    }
+
+    /// Hedge the primary just launched on `primary` with as many
+    /// replicas as the policy asks for and the fleet can host, and log
+    /// the decision for the trainer.
+    fn replicate(
+        &mut self,
+        ac: ActivationId,
+        primary: VmId,
+        since: SimTime,
+        primary_secs: f64,
+    ) -> Result<()> {
+        let i = ac.index();
+        let nv = self.fleet.len();
+        let pressure = self.arena.blacklisted.iter().filter(|&&b| b).count();
+        let features = ReplFeatures {
+            attempt: self.arena.retries[i],
+            blacklist_frac: pressure as f64 / nv as f64,
+            slack_frac: if self.cp_total > 0.0 {
+                (self.cache.rank(i) / self.cp_total).clamp(0.0, 1.0)
+            } else {
+                0.0
+            },
+        };
+        let requested = self.config.replication.extra_replicas(&features);
+        let targets = replica_targets(primary.index(), nv, requested, |cv| {
+            self.arena.blacklisted[cv] || self.arena.free_pes[cv] == 0
+        });
+        for &cv in targets.as_slice() {
+            let attempt = REPLICA_ATTEMPT_BASE + self.arena.repl_seq[i];
+            self.arena.repl_seq[i] += 1;
+            self.launch(ac, VmId::from_index(cv), attempt, since)?;
+            self.result.repl_stats.launched += 1;
+        }
+        self.arena.repl_pending[i] = Some(PendingDecision {
+            bucket: features.bucket() as u8,
+            requested: requested as u8,
+            launched: targets.as_slice().len() as u8,
+            primary_secs,
+            start_t: self.arena.sim.now(),
+            waste_secs: 0.0,
+        });
+        Ok(())
+    }
+
+    /// Wall-clock seconds one attempt takes: stage-in transfers + compute
+    /// (scaled by the fluctuation factor) + migration stalls.
+    fn execution_secs(&mut self, ac: ActivationId, vm: VmId, now: SimTime) -> f64 {
+        // Transfers: parent outputs materialized on other VMs must cross
+        // the network; co-located files are free. Per-edge byte counts and
+        // the producer-less stage-in volume are precomputed in the cache.
+        let i = ac.index();
+        let mut transfer_bytes: u64 = 0;
+        for &(parent, bytes) in self.cache.parents(i) {
+            if self.arena.placed_on[parent as usize] != Some(vm) {
+                transfer_bytes += bytes;
+            }
+        }
+        if self.config.stage_in_inputs {
+            // Workflow-input files (no producer) come from shared storage.
+            transfer_bytes += self.cache.external_input_bytes(i);
+        }
+        let transfer_secs = transfer_bytes as f64 / self.config.bandwidth_bytes_per_sec;
+
+        let vm_type = &self.fleet.vm(vm).vm_type;
+        let base = vm_type.exec_secs(self.workflow.activations[ac].length_mi);
+        let factor = self.fluct.factor(vm, now.as_secs());
+        let mut compute_secs = base * factor;
+        if self.config.burst_throttling && vm_type.baseline_fraction < 1.0 {
+            let busy_so_far = self.arena.vm_busy_secs[vm.index()];
+            let credits = vm_type.burst_credit_secs_per_pe
+                * vm_type.pes as f64
+                * self.config.burst_credit_scale;
+            if busy_so_far >= credits {
+                // Credits exhausted: the whole execution runs at baseline.
+                compute_secs /= vm_type.baseline_fraction;
+            } else if busy_so_far + compute_secs > credits {
+                // Burst covers only the head of the execution.
+                let full_speed = credits - busy_so_far;
+                let remainder = compute_secs - full_speed;
+                compute_secs = full_speed + remainder / vm_type.baseline_fraction;
+            }
+        }
+
+        let pre_stall = transfer_secs + compute_secs;
+        let stall = self.migrations.stall_secs(vm, now, now + SimTime(pre_stall));
+        pre_stall + stall
+    }
 }
 
 #[cfg(test)]
@@ -1682,9 +1291,18 @@ mod tests {
             for (c, cfg) in configs.iter().enumerate() {
                 let seeds = SeedDerivation::new(40 + (round * 3 + c) as u64);
                 let fresh = simulate(&wf, &fleet, &mut Fifo, cfg, seeds, None).unwrap();
-                let reused =
-                    simulate_cached(&wf, &cache, &fleet, &mut Fifo, cfg, seeds, None, &mut arena)
-                        .unwrap();
+                let reused = simulate_cached_traced(
+                    &wf,
+                    &cache,
+                    &fleet,
+                    &mut Fifo,
+                    cfg,
+                    seeds,
+                    None,
+                    &mut arena,
+                    &mut Tracer::disabled(),
+                )
+                .unwrap();
                 assert_eq!(fresh.makespan, reused.makespan);
                 assert_eq!(fresh.plan, reused.plan);
                 assert_eq!(fresh.records, reused.records);
@@ -1694,31 +1312,73 @@ mod tests {
         }
     }
 
+    /// Every input the engine refuses — here the five checks of
+    /// `simulate_cached_traced`, the mismatched cache among them — is
+    /// refused before anything is touched: the tracer sees no event (a
+    /// `sim_start` would never get its `sim_end`) and the arena keeps
+    /// what the previous run left in it.
     #[test]
     fn mismatched_cache_is_rejected() {
         let wf = montage();
-        let other = workflow::generators::layered::generate(
-            &workflow::generators::layered::LayeredParams::default(),
-        )
-        .unwrap();
+        let other = {
+            use workflow::generators::montage::{generate, MontageParams};
+            generate(&MontageParams::with_total_activations(30, 1).unwrap()).unwrap()
+        };
+        let empty = Workflow {
+            name: "empty".into(),
+            activities: Default::default(),
+            activations: Default::default(),
+            files: Default::default(),
+            dag: dag::Dag::with_nodes(0),
+        };
         let fleet = Fleet::paper_16_vcpus();
-        let cache = WorkflowCache::new(&other).unwrap();
-        if cache.len() == wf.len() {
-            return; // degenerate: same size, check not applicable
-        }
+        let no_fleet = Fleet::new();
+        let cache = WorkflowCache::new(&wf).unwrap();
+        let other_cache = WorkflowCache::new(&other).unwrap();
+        assert_ne!(other_cache.len(), wf.len());
+        let good = SimConfig::deterministic();
+        let bad = SimConfig { max_events: 0, ..SimConfig::deterministic() };
+        let small_history = ExecHistory::new(fleet.len() - 1);
+
         let mut arena = SimArena::new();
-        let err = simulate_cached(
-            &wf,
-            &cache,
-            &fleet,
-            &mut Fifo,
-            &SimConfig::deterministic(),
-            SeedDerivation::new(1),
-            None,
-            &mut arena,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("different workflow"));
+        let mut run = |wf: &Workflow,
+                       cache: &WorkflowCache,
+                       fleet: &Fleet,
+                       config: &SimConfig,
+                       history: Option<&ExecHistory>| {
+            let mut sink = obs::MemSink::new();
+            let res = simulate_cached_traced(
+                wf,
+                cache,
+                fleet,
+                &mut Fifo,
+                config,
+                SeedDerivation::new(1),
+                history,
+                &mut arena,
+                &mut Tracer::new(&mut sink),
+            );
+            (res, sink.take(), arena.states.clone(), arena.sim.pushes())
+        };
+        let (ok, trace, states, pushes) = run(&wf, &cache, &fleet, &good, None);
+        assert!(ok.unwrap().success);
+        assert!(trace.contains("sim_start") && trace.contains("sim_end"));
+        assert_eq!(states.len(), wf.len());
+
+        for (wf, cache, fleet, config, history, message) in [
+            (&wf, &cache, &fleet, &bad, None, "max_events"),
+            (&wf, &cache, &no_fleet, &good, None, "no VMs"),
+            (&empty, &cache, &fleet, &good, None, "no activations"),
+            (&wf, &other_cache, &fleet, &good, None, "different workflow"),
+            (&wf, &cache, &fleet, &good, Some(&small_history), "different fleet"),
+        ] {
+            let (res, trace, states_after, pushes_after) = run(wf, cache, fleet, config, history);
+            let err = res.unwrap_err().to_string();
+            assert!(err.contains(message), "{err:?} does not mention {message:?}");
+            assert_eq!(trace, "", "a rejected call ({message}) must leave no trace");
+            assert_eq!(states_after, states, "a rejected call ({message}) reset the arena");
+            assert_eq!(pushes_after, pushes, "a rejected call ({message}) reset the arena");
+        }
     }
 
     #[test]

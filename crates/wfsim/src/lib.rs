@@ -37,7 +37,7 @@ pub mod trace;
 pub use arena::SimArena;
 pub use clustering::ClusteringPlan;
 pub use config::{FluctuationKind, MigrationKind, SimConfig};
-pub use engine::{simulate, simulate_cached, simulate_cached_traced, simulate_traced};
+pub use engine::{simulate, simulate_cached_traced, simulate_traced};
 pub use history::ExecHistory;
 pub use metrics::Metrics;
 pub use plan::{FixedPlanScheduler, Plan};
