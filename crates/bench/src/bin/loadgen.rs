@@ -28,7 +28,7 @@
 //! `BENCH_service.json` shape — mixed Montage/CyberShake/Epigenomics/
 //! SIPHT/Inspiral arrivals over 16 tenants.
 
-use svc::{generate_submissions, run_batch, LoadgenSpec, ServiceConfig};
+use svc::{generate_submissions, run_batch_trace_out, LoadgenSpec, ServiceConfig};
 
 struct Args {
     spec: LoadgenSpec,
@@ -135,19 +135,13 @@ fn run() -> Result<(), String> {
         "loadgen: {} submissions, {} tenants, seed {}, {} shards × {} workers",
         args.spec.submissions, args.spec.tenants, args.spec.seed, args.cfg.shards, args.cfg.workers
     );
-    let report = run_batch(&args.cfg, subs).map_err(|e| e.to_string())?;
+    // `.bin` streams the canonical binary frames (what the soak suite
+    // byte-diffs across worker counts); any other path renders JSONL.
+    let report = run_batch_trace_out(&args.cfg, subs, args.trace_out.as_deref())
+        .map_err(|e| e.to_string())?;
     println!("{}", report.human_summary());
     std::fs::write(&args.out, report.bench_json()).map_err(|e| format!("{}: {e}", args.out))?;
     eprintln!("wrote {}", args.out);
-    if let Some(path) = &args.trace_out {
-        // `.bin` keeps the canonical binary frames (what the soak
-        // suite byte-diffs across worker counts); else render JSONL.
-        if path.ends_with(".bin") {
-            std::fs::write(path, &report.trace).map_err(|e| format!("{path}: {e}"))?;
-        } else {
-            std::fs::write(path, report.trace_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
     if let Some(path) = &args.summary_out {
         std::fs::write(path, report.all_tenant_summaries()).map_err(|e| format!("{path}: {e}"))?;
     }

@@ -508,18 +508,9 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<()> {
             }
             cfg.faults = fault_config(&fault_profile, None, None, None)?;
             cfg.trace_detail = detail;
-            let report = svc::run_batch(&cfg, subs)?;
-            if let Some(path) = &trace_out {
-                // Extension picks the trace format: `.bin` keeps the
-                // canonical binary frames, anything else renders JSONL.
-                if path.ends_with(".bin") {
-                    std::fs::write(path, &report.trace)
-                        .map_err(|e| Error::Persistence(format!("{path}: {e}")))?;
-                } else {
-                    std::fs::write(path, report.trace_jsonl())
-                        .map_err(|e| Error::Persistence(format!("{path}: {e}")))?;
-                }
-            }
+            // Extension picks the trace format: `.bin` streams the
+            // canonical binary frames, anything else renders JSONL.
+            let report = svc::run_batch_trace_out(&cfg, subs, trace_out.as_deref())?;
             if let Some(path) = &report_out {
                 std::fs::write(path, report.bench_json())
                     .map_err(|e| Error::Persistence(format!("{path}: {e}")))?;

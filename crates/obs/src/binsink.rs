@@ -1,7 +1,7 @@
 //! Binary trace sinks: the frame-encoding counterparts of
 //! [`MemSink`](crate::MemSink) and [`JsonlSink`](crate::JsonlSink).
 //!
-//! Both sinks implement [`TraceSink`] by overriding
+//! All three sinks implement [`TraceSink`] by overriding
 //! [`TraceSink::emit_event`], so structured events skip JSON
 //! formatting entirely and go straight to frames — the fast path that
 //! makes megasubmission service traces affordable. `emit_line` (used
@@ -61,6 +61,85 @@ impl TraceSink for BinMemSink {
 
     fn emit_event(&mut self, ev: &TraceEvent<'_>) {
         frame::encode_event(ev, &mut self.buf);
+        self.events += 1;
+    }
+}
+
+/// Length at which a [`BinFragSink`] closes its current fragment and
+/// opens the next. A constant, not an option: measured on the
+/// `svc-churn` benchmark workload (peak RSS; 166 MB with one doubling
+/// buffer per sink), 64 KiB fragments read 176 MB — below glibc's
+/// 128 KiB mmap threshold they share the worker arenas with the
+/// per-plan records and leave holes — while 256 KiB, 1 MiB and 4 MiB
+/// all read 141 MB. 1 MiB is well clear of that threshold and still
+/// costs a sink that stays nearly empty only the pages it touched
+/// (`svc-warm`, 6 events a plan: 25.9 MB, as with 4 MiB).
+pub const FRAGMENT_BYTES: usize = 1 << 20;
+
+/// Capacity a fragment reserves past [`FRAGMENT_BYTES`], so the frame
+/// that crosses the line lands without growing the buffer. Event
+/// frames are tens of bytes (their strings are tenant and family
+/// labels); only a frame longer than this — a long raw line — grows
+/// its fragment.
+const FRAME_HEADROOM: usize = 4096;
+
+/// In-memory binary sink for a long-lived producer: frames accumulate
+/// in a list of fragments of [`FRAGMENT_BYTES`] each instead of one
+/// buffer that doubles. A frame is encoded into the current fragment
+/// and a new fragment opens once that one has reached the fragment
+/// size, so no frame straddles two fragments, no trace byte is copied
+/// or reallocated while the producer runs, and every fragment is a
+/// prelude-less frame stream of its own
+/// ([`FrameReader::without_prelude`](crate::FrameReader::without_prelude)).
+/// The fragments concatenated are exactly what a [`BinMemSink`] fed the
+/// same stream holds; the consumer takes them with
+/// [`BinFragSink::into_fragments`] and can free each as it is written.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct BinFragSink {
+    /// Every fragment but the last is at least [`FRAGMENT_BYTES`] long.
+    fragments: Vec<Vec<u8>>,
+    events: u64,
+}
+
+impl BinFragSink {
+    /// An empty sink; the first fragment is allocated by the first
+    /// frame.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Frames captured so far (events + raw lines).
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Frame bytes captured so far, over all fragments.
+    pub fn bytes(&self) -> u64 {
+        self.fragments.iter().map(|f| f.len() as u64).sum()
+    }
+
+    /// Hand the fragments over, in emission order.
+    pub fn into_fragments(self) -> Vec<Vec<u8>> {
+        self.fragments
+    }
+
+    /// The fragment the next frame goes into.
+    fn open(&mut self) -> &mut Vec<u8> {
+        if self.fragments.last().is_none_or(|f| f.len() >= FRAGMENT_BYTES) {
+            self.fragments.push(Vec::with_capacity(FRAGMENT_BYTES + FRAME_HEADROOM));
+        }
+        self.fragments.last_mut().expect("a fragment is open")
+    }
+}
+
+impl TraceSink for BinFragSink {
+    fn emit_line(&mut self, line: &str) {
+        frame::encode_raw_line(line, self.open());
+        self.events += 1;
+    }
+
+    fn emit_event(&mut self, ev: &TraceEvent<'_>) {
+        frame::encode_event(ev, self.open());
         self.events += 1;
     }
 }
@@ -199,6 +278,73 @@ mod tests {
         frame::write_prelude(&mut full);
         full.extend_from_slice(bin.as_bytes());
         assert_eq!(frames_to_jsonl(&full).unwrap(), jsonl.as_str());
+    }
+
+    /// One seeded stream for two sinks: events of several kinds, short
+    /// raw lines, and one raw line longer than a whole fragment.
+    fn feed_seeded_stream(sink: &mut dyn TraceSink) {
+        let mut state = 2019u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut t = Tracer::new(sink);
+        for i in 0..90_000u64 {
+            let r = next();
+            match r % 5 {
+                0 => t.emit(&TraceEvent::Sched { t: r as f64 / 7.0, ready: i as u32, idle_pes: 3 }),
+                1 => t.emit(&TraceEvent::Submit {
+                    seq: i,
+                    tenant: &format!("tenant-{}", r % 1000),
+                    family: "montage",
+                    size: 60 + (r % 90) as u32,
+                    shard: (r % 4) as u32,
+                }),
+                2 => t.emit(&TraceEvent::Admit { seq: i, shard: (r % 4) as u32 }),
+                3 => t.emit(&TraceEvent::EpisodeStart { episode: i as u32, epsilon: 0.1 }),
+                _ => t.append_raw(&format!("{{\"ev\":\"future_kind\",\"n\":{r}}}\n")),
+            }
+            if i == 40_000 {
+                let long =
+                    format!("{{\"ev\":\"blob\",\"x\":\"{}\"}}\n", "z".repeat(FRAGMENT_BYTES + 999));
+                t.append_raw(&long);
+            }
+        }
+    }
+
+    #[test]
+    fn fragments_are_the_same_bytes_as_one_buffer() {
+        let (mut whole, mut frag) = (BinMemSink::new(), BinFragSink::new());
+        feed_seeded_stream(&mut whole);
+        feed_seeded_stream(&mut frag);
+        assert_eq!(frag.events(), whole.events());
+        assert_eq!(frag.bytes(), whole.as_bytes().len() as u64);
+        let fragments = frag.into_fragments();
+        assert!(fragments.len() >= 4, "the stream spans several fragments: {}", fragments.len());
+        assert!(fragments.concat() == whole.as_bytes(), "concatenated fragments differ");
+
+        // Every fragment but the last is full, and none was grown
+        // except the one that took the oversized raw line.
+        let (last, full) = fragments.split_last().unwrap();
+        assert!(!last.is_empty());
+        assert!(full.iter().all(|f| f.len() >= FRAGMENT_BYTES));
+        let grown: Vec<usize> = fragments
+            .iter()
+            .filter(|f| f.capacity() != FRAGMENT_BYTES + FRAME_HEADROOM)
+            .map(Vec::len)
+            .collect();
+        assert_eq!(grown.len(), 1, "only the oversized line outgrows a fragment: {grown:?}");
+        assert!(grown[0] > FRAGMENT_BYTES + FRAME_HEADROOM);
+
+        // No frame straddles two fragments: each decodes on its own,
+        // to a clean end, and the frame counts add up.
+        let mut frames = 0;
+        for fragment in &fragments {
+            let mut reader = crate::FrameReader::without_prelude(&fragment[..]);
+            while reader.next_frame().expect("a fragment is a frame stream").is_some() {}
+            frames += reader.frames();
+        }
+        assert_eq!(frames, whole.events());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod registry;
 pub mod sink;
 pub mod slo;
 
-pub use binsink::{BinMemSink, BinSink};
+pub use binsink::{BinFragSink, BinMemSink, BinSink, FRAGMENT_BYTES};
 pub use counter::Counter;
 pub use diff::{
     event_type_summary, is_phase_line, render_context, trace_diff, trace_diff_events, EventDiff,

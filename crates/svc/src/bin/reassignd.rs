@@ -241,20 +241,12 @@ fn run() -> Result<()> {
     for sub in subs {
         svc.submit(sub);
     }
-    let report = svc.drain()?;
+    // Extension picks the trace format: `.bin` streams the binary
+    // frames verbatim, anything else renders the equivalent JSONL.
+    let report = svc.drain_trace_out(args.trace_out.as_deref())?;
 
     println!("{}", report.human_summary());
     print!("{}", report.all_tenant_summaries());
-    if let Some(path) = &args.trace_out {
-        // Extension picks the format: `.bin` streams the binary frames
-        // verbatim, anything else renders the equivalent JSONL.
-        if path.ends_with(".bin") {
-            std::fs::write(path, &report.trace)
-                .map_err(|e| Error::Persistence(format!("{path}: {e}")))?;
-        } else {
-            write_file(path, &report.trace_jsonl())?;
-        }
-    }
     if let Some(path) = &args.snapshots_out {
         if path.ends_with(".bin") {
             std::fs::write(path, &report.snapshots)

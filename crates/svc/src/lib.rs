@@ -23,9 +23,14 @@
 //!        │   miss → full learn (LearnRun, full episodes)
 //!        ▼
 //!  simulate_cached_traced(greedy plan, optional FaultConfig)
-//!        ▼
+//!        │   every frame → the shard's BinFragSink (1 MiB fragments,
+//!        ▼   never reallocated; the submitter has one of its own)
 //!  drain() → ServiceReport { per-tenant results + provenance,
-//!                            counters, byte-deterministic binary trace }
+//!        │                   counters, byte-deterministic binary trace }
+//!        │   fragments written once in canonical order, each freed
+//!        │   as it goes, into one buffer of the trace's exact length
+//!  drain_to(w) → the same report, the trace written to `w` instead
+//!                (`--trace-out x.bin`): nothing is concatenated
 //! ```
 //!
 //! # Determinism
@@ -54,7 +59,7 @@
 //!   remembers a spec, or whether any does, changes no output;
 //! * the assembled trace is a canonical concatenation of **binary
 //!   frames** ([`obs::frame`]): prelude, header, submitter events in
-//!   sequence order, then shard buffers in shard id order — so the
+//!   sequence order, then shard fragments in shard id order — so the
 //!   determinism contract is *byte-identical binary traces across
 //!   worker counts*, checked by the soak suite at every scale up to
 //!   megasubmission runs.
@@ -75,7 +80,7 @@ pub use config::{ServiceConfig, WfqConfig};
 pub use loadgen::{generate_submissions, tenant_name, LoadgenSpec};
 pub use metrics_http::{serve_metrics, METRICS_IO_TIMEOUT};
 pub use report::{Completed, ServiceReport, WfqStats};
-pub use service::{run_batch, Admission, Service};
+pub use service::{run_batch, run_batch_trace_out, Admission, Service};
 pub use shard::{CacheKey, QCache};
 pub use submit::{parse_submissions, shard_for, Submission, WorkflowSpec};
 pub use wfq::{Dispatched, Offer, WfqState};

@@ -4,9 +4,10 @@
 
 use crate::shard::ShardOutput;
 use obs::event::json_f64;
-use obs::{BinMemSink, Histogram};
+use obs::{BinFragSink, Histogram};
 use provenance::ProvenanceStore;
 use std::collections::BTreeMap;
+use std::io::Write;
 use wfcommon::SimTime;
 
 /// What the drain hands over from the live metrics plane: the sidecar
@@ -77,6 +78,35 @@ pub struct Completed {
     pub prov: Option<provenance::EpisodeRecord>,
 }
 
+impl Completed {
+    /// This result's line of its tenant's summary.
+    fn push_summary_line(&self, s: &mut String) {
+        match &self.error {
+            Some(e) => {
+                s.push_str(&format!("seq={} family={} error={e}\n", self.seq, self.family));
+            }
+            None => {
+                let plan: Vec<String> = self.assignments.iter().map(|v| v.to_string()).collect();
+                let retries: Vec<String> =
+                    self.retries.iter().map(|(a, r)| format!("{a}:{r}")).collect();
+                s.push_str(&format!(
+                    "seq={} family={} n={} hit={} episodes={} makespan={} success={} \
+                     plan=[{}] retries=[{}]\n",
+                    self.seq,
+                    self.family,
+                    self.activations,
+                    self.cache_hit as u8,
+                    self.episodes,
+                    json_f64(self.makespan.as_secs()),
+                    self.success,
+                    plan.join(","),
+                    retries.join(",")
+                ));
+            }
+        }
+    }
+}
+
 /// Everything a drained service hands back.
 #[derive(Debug)]
 pub struct ServiceReport {
@@ -106,9 +136,14 @@ pub struct ServiceReport {
     /// The assembled byte-deterministic **binary** trace: prelude,
     /// header frame, submitter frames in sequence order, shard frames
     /// in shard order. [`ServiceReport::trace_jsonl`] renders the
-    /// equivalent JSONL.
+    /// equivalent JSONL. Empty after
+    /// [`Service::drain_to`](crate::Service::drain_to), which wrote
+    /// these bytes to the caller's writer instead.
     pub trace: Vec<u8>,
-    /// Structured events in `trace` (header + submitter + shards).
+    /// Length of the canonical trace, wherever it went.
+    pub trace_bytes: u64,
+    /// Structured events in the canonical trace (header + submitter +
+    /// shards).
     pub trace_events: u64,
     /// WFQ admission counters.
     pub wfq: WfqStats,
@@ -136,34 +171,90 @@ pub struct ServiceReport {
     pub snapshot_final_vt: u64,
 }
 
-/// Assemble the report from the submitter's view and the drained
-/// shard outputs (already sorted by shard id).
-#[allow(clippy::too_many_arguments)]
+/// Everything [`Service::drain`](crate::Service::drain) has in hand
+/// once the workers are joined: the submitter's view and the shard
+/// outputs, the trace still in the fragments it was emitted into.
+pub(crate) struct Drained {
+    pub submitted: u64,
+    pub admitted: u64,
+    pub shed: u64,
+    /// The submitter's frames, in sequence order.
+    pub submitter: BinFragSink,
+    /// Sorted by shard id.
+    pub shards: Vec<ShardOutput>,
+    pub wfq: WfqStats,
+    pub prov_keep_last: Option<u32>,
+    pub wall_secs: f64,
+    pub metrics: MetricsPlane,
+}
+
+/// What every trace the service assembles starts with: the file
+/// prelude and the header frame.
+fn trace_head() -> Vec<u8> {
+    let mut head = Vec::new();
+    obs::frame::write_prelude(&mut head);
+    obs::frame::encode_event(&obs::TraceEvent::Header { producer: "reassignd" }, &mut head);
+    head
+}
+
+impl Drained {
+    /// Exact byte length of the canonical trace [`assemble`] will
+    /// write: known before a byte of it is, so a caller that wants it
+    /// contiguous allocates it once.
+    pub fn trace_bytes(&self) -> u64 {
+        let shards = self.shards.iter().flat_map(|o| &o.trace).map(|f| f.len() as u64);
+        trace_head().len() as u64 + self.submitter.bytes() + shards.sum::<u64>()
+    }
+}
+
+/// Write the canonical trace — prelude, header, the submitter's
+/// fragments, then every shard's in shard order. The only place that
+/// order is spelled. Each fragment is freed as soon as it is written,
+/// so with a writer that keeps nothing the trace is never held twice,
+/// and with one that keeps everything the second copy grows only as
+/// fast as the first shrinks.
+fn write_trace(
+    submitter: Vec<Vec<u8>>,
+    shards: &mut [ShardOutput],
+    w: &mut impl Write,
+) -> std::io::Result<()> {
+    w.write_all(&trace_head())?;
+    let of_shards = shards.iter_mut().flat_map(|o| std::mem::take(&mut o.trace));
+    for fragment in submitter.into_iter().chain(of_shards) {
+        w.write_all(&fragment)?;
+    }
+    Ok(())
+}
+
+/// Assemble the report, writing the canonical trace to `trace_out`
+/// ([`ServiceReport::trace`] is left empty: a caller that wants the
+/// bytes there passes a buffer and installs it). Fails only when the
+/// writer does.
 pub(crate) fn assemble(
-    submitted: u64,
-    admitted: u64,
-    shed: u64,
-    submitter_sink: &BinMemSink,
-    shard_outputs: Vec<ShardOutput>,
-    wfq: WfqStats,
-    prov_keep_last: Option<u32>,
-    wall_secs: f64,
-    metrics: MetricsPlane,
-) -> ServiceReport {
-    let mut trace = Vec::new();
-    obs::frame::write_prelude(&mut trace);
-    obs::frame::encode_event(&obs::TraceEvent::Header { producer: "reassignd" }, &mut trace);
-    trace.extend_from_slice(submitter_sink.as_bytes());
-    let mut trace_events = 1 + submitter_sink.events();
+    drained: Drained,
+    trace_out: &mut impl Write,
+) -> std::io::Result<ServiceReport> {
+    let trace_bytes = drained.trace_bytes();
+    let Drained {
+        submitted,
+        admitted,
+        shed,
+        submitter,
+        shards: mut shard_outputs,
+        wfq,
+        prov_keep_last,
+        wall_secs,
+        metrics,
+    } = drained;
+    let mut trace_events = 1 + submitter.events();
+    write_trace(submitter.into_fragments(), &mut shard_outputs, trace_out)?;
 
     // The sidecar stream becomes its own standalone trace — decodable
     // by the same tooling, never concatenated into the canonical one.
     let (snapshots, snapshot_trace_events) = if metrics.sidecar.is_empty() {
         (Vec::new(), 0)
     } else {
-        let mut s = Vec::new();
-        obs::frame::write_prelude(&mut s);
-        obs::frame::encode_event(&obs::TraceEvent::Header { producer: "reassignd" }, &mut s);
+        let mut s = trace_head();
         s.extend_from_slice(&metrics.sidecar);
         (s, 1 + metrics.sidecar_events)
     };
@@ -171,7 +262,6 @@ pub(crate) fn assemble(
     let mut results: Vec<Completed> = Vec::new();
     let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
     for out in shard_outputs {
-        trace.extend_from_slice(&out.trace);
         trace_events += out.trace_events;
         cache_hits += out.cache_hits;
         cache_misses += out.cache_misses;
@@ -207,7 +297,7 @@ pub(crate) fn assemble(
         }
     }
 
-    ServiceReport {
+    Ok(ServiceReport {
         submitted,
         admitted,
         shed,
@@ -219,7 +309,8 @@ pub(crate) fn assemble(
         miss_episodes,
         results,
         tenants,
-        trace,
+        trace: Vec::new(),
+        trace_bytes,
         trace_events,
         wfq,
         makespan_sum_secs,
@@ -231,7 +322,7 @@ pub(crate) fn assemble(
         slo_breaches: metrics.slo_breaches,
         snapshot_max_queued: metrics.max_queued,
         snapshot_final_vt: metrics.final_vt,
-    }
+    })
 }
 
 impl ServiceReport {
@@ -258,7 +349,7 @@ impl ServiceReport {
     /// of the binary fast path, gated as `obs.frame_bytes_per_event`.
     pub fn frame_bytes_per_event(&self) -> f64 {
         if self.trace_events > 0 {
-            self.trace.len() as f64 / self.trace_events as f64
+            self.trace_bytes as f64 / self.trace_events as f64
         } else {
             0.0
         }
@@ -284,15 +375,9 @@ impl ServiceReport {
 
     /// Tenants that have at least one result, sorted.
     pub fn tenant_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .results
-            .iter()
-            .map(|c| c.tenant.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        ids.sort();
-        ids
+        let ids: std::collections::BTreeSet<&str> =
+            self.results.iter().map(|c| c.tenant.as_str()).collect();
+        ids.into_iter().map(String::from).collect()
     }
 
     /// The canonical, byte-deterministic summary of one tenant's
@@ -303,40 +388,25 @@ impl ServiceReport {
     pub fn tenant_summary(&self, tenant: &str) -> String {
         let mut s = String::new();
         for c in self.results.iter().filter(|c| c.tenant == tenant) {
-            match &c.error {
-                Some(e) => {
-                    s.push_str(&format!("seq={} family={} error={e}\n", c.seq, c.family));
-                }
-                None => {
-                    let plan: Vec<String> = c.assignments.iter().map(|v| v.to_string()).collect();
-                    let retries: Vec<String> =
-                        c.retries.iter().map(|(a, r)| format!("{a}:{r}")).collect();
-                    s.push_str(&format!(
-                        "seq={} family={} n={} hit={} episodes={} makespan={} success={} \
-                         plan=[{}] retries=[{}]\n",
-                        c.seq,
-                        c.family,
-                        c.activations,
-                        c.cache_hit as u8,
-                        c.episodes,
-                        json_f64(c.makespan.as_secs()),
-                        c.success,
-                        plan.join(","),
-                        retries.join(",")
-                    ));
-                }
-            }
+            c.push_summary_line(&mut s);
         }
         s
     }
 
     /// All tenant summaries concatenated in tenant order — the whole
-    /// deterministic result surface as one string.
+    /// deterministic result surface as one string. One pass over the
+    /// results, however many tenants there are.
     pub fn all_tenant_summaries(&self) -> String {
+        let mut by_tenant: BTreeMap<&str, Vec<&Completed>> = BTreeMap::new();
+        for c in &self.results {
+            by_tenant.entry(&c.tenant).or_default().push(c);
+        }
         let mut s = String::new();
-        for t in self.tenant_ids() {
-            s.push_str(&format!("## tenant {t}\n"));
-            s.push_str(&self.tenant_summary(&t));
+        for (tenant, of_tenant) in by_tenant {
+            s.push_str(&format!("## tenant {tenant}\n"));
+            for c in of_tenant {
+                c.push_summary_line(&mut s);
+            }
         }
         s
     }

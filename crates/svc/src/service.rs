@@ -2,13 +2,14 @@
 //! admission, the sharded worker pool, and graceful drain.
 
 use crate::config::ServiceConfig;
-use crate::report::{assemble, MetricsPlane, ServiceReport};
+use crate::report::{assemble, Drained, MetricsPlane, ServiceReport};
 use crate::shard::{PreparedMemo, ShardOutput, ShardState};
 use crate::submit::{shard_for, Submission};
 use crate::wfq::{Dispatched, Offer, WfqState};
 use obs::slo::{SloEngine, SnapshotView};
-use obs::{BinMemSink, Registry, TraceEvent, Tracer};
+use obs::{BinFragSink, BinMemSink, Registry, TraceEvent, Tracer};
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -67,7 +68,7 @@ pub struct Service {
     wfq: WfqState<Job>,
     /// Dispatched jobs waiting for channel room, per worker.
     pending: Vec<std::collections::VecDeque<Job>>,
-    sink: BinMemSink,
+    sink: BinFragSink,
     /// Live metrics plane: lock-free registry shared with the workers
     /// (lane 0 = submitter, lane `i + 1` = worker `i`).
     registry: Arc<Registry>,
@@ -110,7 +111,7 @@ impl Service {
             shed: 0,
             wfq,
             pending,
-            sink: BinMemSink::new(),
+            sink: BinFragSink::new(),
             registry,
             sidecar: BinMemSink::new(),
             slo,
@@ -299,8 +300,51 @@ impl Service {
 
     /// Graceful drain: stop accepting (the service is consumed),
     /// dispatch everything still queued, let every admitted job
-    /// finish, join the workers and assemble the report.
-    pub fn drain(mut self) -> Result<ServiceReport> {
+    /// finish, join the workers and assemble the report, its
+    /// [`ServiceReport::trace`] one buffer of exactly the trace's
+    /// length: until here the trace was held once, in the fragments
+    /// the sinks filled, and each is freed as it is copied in.
+    pub fn drain(self) -> Result<ServiceReport> {
+        let drained = self.join()?;
+        let mut trace = Vec::with_capacity(drained.trace_bytes() as usize);
+        let mut report = assemble(drained, &mut trace).expect("a Vec accepts every write");
+        report.trace = trace;
+        Ok(report)
+    }
+
+    /// [`Service::drain`], with the canonical trace written to `w`
+    /// fragment by fragment and never concatenated:
+    /// [`ServiceReport::trace`] stays empty,
+    /// [`ServiceReport::trace_bytes`] says how much went out. `w` is
+    /// not flushed.
+    pub fn drain_to(self, mut w: impl Write) -> Result<ServiceReport> {
+        assemble(self.join()?, &mut w).map_err(|e| Error::Persistence(format!("trace: {e}")))
+    }
+
+    /// The drain behind a command line's `--trace-out PATH`. A path
+    /// ending in `.bin` gets the canonical binary frames, streamed to
+    /// the file by [`Service::drain_to`] — the run never holds its
+    /// trace contiguously and [`ServiceReport::trace`] comes back
+    /// empty; any other path gets the equivalent JSONL, rendered from
+    /// a [`Service::drain`]; `None` is [`Service::drain`].
+    pub fn drain_trace_out(self, path: Option<&str>) -> Result<ServiceReport> {
+        let Some(path) = path else { return self.drain() };
+        let io = |e: std::io::Error| Error::Persistence(format!("{path}: {e}"));
+        if path.ends_with(".bin") {
+            let drained = self.join()?;
+            let mut file = std::io::BufWriter::new(std::fs::File::create(path).map_err(io)?);
+            let report = assemble(drained, &mut file).map_err(io)?;
+            file.flush().map_err(io)?;
+            Ok(report)
+        } else {
+            let report = self.drain()?;
+            std::fs::write(path, report.trace_jsonl()).map_err(io)?;
+            Ok(report)
+        }
+    }
+
+    /// The drain proper: everything up to the joined workers' outputs.
+    fn join(mut self) -> Result<Drained> {
         self.start();
         // Final snapshot before the backlog dispatch, so the stream
         // always captures the drain-time queue state (and short runs
@@ -338,21 +382,21 @@ impl Service {
             max_queued: self.snap_max_queued,
             final_vt: self.wfq.vt(),
         };
-        Ok(assemble(
-            self.next_seq,
-            self.admitted,
-            self.shed,
-            &self.sink,
-            shard_outputs,
-            crate::report::WfqStats {
+        Ok(Drained {
+            submitted: self.next_seq,
+            admitted: self.admitted,
+            shed: self.shed,
+            submitter: self.sink,
+            shards: shard_outputs,
+            wfq: crate::report::WfqStats {
                 backpressure: self.wfq.backpressure_count(),
                 max_depth: self.wfq.max_depth(),
                 rounds: self.wfq.vt(),
             },
-            self.cfg.prov_keep_last,
+            prov_keep_last: self.cfg.prov_keep_last,
             wall_secs,
             metrics,
-        ))
+        })
     }
 }
 
@@ -392,10 +436,19 @@ fn worker_loop(
 /// Batch convenience: submit everything, then drain. Workers start
 /// up-front so processing overlaps submission.
 pub fn run_batch(cfg: &ServiceConfig, subs: Vec<Submission>) -> Result<ServiceReport> {
+    run_batch_trace_out(cfg, subs, None)
+}
+
+/// [`run_batch`], drained with [`Service::drain_trace_out`].
+pub fn run_batch_trace_out(
+    cfg: &ServiceConfig,
+    subs: Vec<Submission>,
+    trace_out: Option<&str>,
+) -> Result<ServiceReport> {
     let mut svc = Service::new(cfg.clone())?;
     svc.start();
     for sub in subs {
         svc.submit(sub);
     }
-    svc.drain()
+    svc.drain_trace_out(trace_out)
 }

@@ -11,7 +11,7 @@
 use crate::config::ServiceConfig;
 use crate::report::Completed;
 use crate::submit::{Submission, WorkflowSpec};
-use obs::{BinMemSink, TraceEvent, Tracer};
+use obs::{BinFragSink, TraceEvent, Tracer};
 use provenance::{ActivationProv, EpisodeKey, EpisodeRecord};
 use qlearn::DenseQTable;
 use reassign::{LearnRun, ReassignConfig};
@@ -163,12 +163,13 @@ impl PreparedMemo {
 pub struct ShardOutput {
     /// Shard id.
     pub shard: u32,
-    /// The shard's binary trace buffer (service events, plus full
-    /// learn/sim streams when `trace_detail` is on), in processing
-    /// order. A frame fragment: no prelude — drain-time assembly
-    /// concatenates the fragments under one prelude.
-    pub trace: Vec<u8>,
-    /// Structured events in the trace buffer.
+    /// The shard's binary trace (service events, plus full learn/sim
+    /// streams when `trace_detail` is on) in processing order, as the
+    /// fragments its [`BinFragSink`] filled: prelude-less frame
+    /// streams that drain-time assembly writes out one after the other
+    /// under one prelude, freeing each as it goes.
+    pub trace: Vec<Vec<u8>>,
+    /// Structured events in the trace.
     pub trace_events: u64,
     /// Completed jobs in processing order (= per-shard admission
     /// order).
@@ -185,7 +186,7 @@ pub struct ShardOutput {
 pub struct ShardState {
     id: u32,
     cache: QCache,
-    sink: BinMemSink,
+    sink: BinFragSink,
     arena: SimArena,
     completed: Vec<Completed>,
 }
@@ -196,7 +197,7 @@ impl ShardState {
         Self {
             id,
             cache: QCache::new(),
-            sink: BinMemSink::new(),
+            sink: BinFragSink::new(),
             arena: SimArena::new(),
             completed: Vec::new(),
         }
@@ -399,11 +400,11 @@ impl ShardState {
     }
 
     /// Consume the state into its drain-time output.
-    pub fn into_output(mut self) -> ShardOutput {
+    pub fn into_output(self) -> ShardOutput {
         ShardOutput {
             shard: self.id,
             trace_events: self.sink.events(),
-            trace: self.sink.take(),
+            trace: self.sink.into_fragments(),
             completed: self.completed,
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
@@ -433,11 +434,11 @@ mod tests {
         }
     }
 
-    /// Decode a shard's prelude-less frame fragment to JSONL.
-    fn fragment_jsonl(fragment: &[u8]) -> String {
+    /// Decode a shard's prelude-less frame fragments to JSONL.
+    fn fragment_jsonl(fragments: &[Vec<u8>]) -> String {
         let mut full = Vec::new();
         obs::frame::write_prelude(&mut full);
-        full.extend_from_slice(fragment);
+        full.extend(fragments.iter().flatten());
         obs::frame::frames_to_jsonl(&full).unwrap()
     }
 

@@ -4,8 +4,8 @@
 //! backpressure, and strict per-tenant provenance partitioning.
 
 use svc::{
-    generate_submissions, run_batch, Admission, LoadgenSpec, Service, ServiceConfig, Submission,
-    WorkflowSpec,
+    generate_submissions, run_batch, run_batch_trace_out, Admission, LoadgenSpec, Service,
+    ServiceConfig, Submission, WorkflowSpec,
 };
 use wfcommon::ids::Idx;
 
@@ -312,4 +312,146 @@ fn bad_submissions_fail_without_poisoning_the_batch() {
     let summary = report.tenant_summary("a");
     assert!(summary.contains("error="), "{summary}");
     assert!(summary.contains("plan=["), "{summary}");
+}
+
+/// `drain_to` is `drain` with the trace sent elsewhere: the writer
+/// receives exactly `drain().trace`, the report says how long it was,
+/// and nothing derived from the length changes — at any worker count.
+#[test]
+fn drain_to_writes_the_bytes_drain_returns() {
+    let subs = small_workload();
+    for workers in [1, 2, 4] {
+        let mut cfg = quick_cfg(4, workers);
+        cfg.trace_detail = true;
+        let held = run_batch(&cfg, subs.clone()).unwrap();
+        assert_eq!(held.trace_bytes, held.trace.len() as u64);
+        assert_eq!(held.trace.capacity(), held.trace.len(), "the buffer is sized once, exactly");
+
+        let mut svc = Service::new(cfg).unwrap();
+        svc.start();
+        for sub in subs.clone() {
+            svc.submit(sub);
+        }
+        let mut written = Vec::new();
+        let streamed = svc.drain_to(&mut written).unwrap();
+        assert!(streamed.trace.is_empty(), "drain_to keeps no copy");
+        assert!(written == held.trace, "drain_to bytes differ from drain().trace at {workers}");
+        assert_eq!(streamed.trace_bytes, written.len() as u64);
+        assert_eq!(streamed.trace_events, held.trace_events);
+        assert_eq!(streamed.frame_bytes_per_event(), held.frame_bytes_per_event());
+        assert_eq!(streamed.all_tenant_summaries(), held.all_tenant_summaries());
+    }
+
+    // The command lines' `--trace-out`: a `.bin` path is that stream in
+    // a file, any other path the JSONL of a held trace.
+    let mut cfg = quick_cfg(4, 2);
+    cfg.trace_detail = true;
+    let held = run_batch(&cfg, subs.clone()).unwrap();
+    let dir = std::env::temp_dir().join(format!("svc-trace-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (bin, jsonl) = (dir.join("t.trace.bin"), dir.join("t.trace.jsonl"));
+    let streamed = run_batch_trace_out(&cfg, subs.clone(), bin.to_str()).unwrap();
+    assert!(streamed.trace.is_empty());
+    assert!(std::fs::read(&bin).unwrap() == held.trace);
+    let rendered = run_batch_trace_out(&cfg, subs, jsonl.to_str()).unwrap();
+    assert!(rendered.trace == held.trace);
+    assert!(std::fs::read_to_string(&jsonl).unwrap() == held.trace_jsonl());
+    std::fs::remove_dir_all(&dir).unwrap();
+    let unwritable = dir.join("gone").join("t.trace.bin");
+    let err = run_batch_trace_out(&cfg, small_workload(), unwritable.to_str()).unwrap_err();
+    assert!(err.to_string().contains("t.trace.bin"), "{err}");
+}
+
+/// A writer that fails makes `drain_to` fail, with the writer's error.
+#[test]
+fn drain_to_surfaces_the_writers_error() {
+    struct Full;
+    impl std::io::Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut svc = Service::new(quick_cfg(2, 1)).unwrap();
+    for sub in small_workload().into_iter().take(3) {
+        svc.submit(sub);
+    }
+    let err = svc.drain_to(Full).expect_err("the write error must surface");
+    assert!(err.to_string().contains("disk full"), "{err}");
+}
+
+/// Draining with a backlog loses and duplicates nothing: workers never
+/// started, nothing dispatched before `drain()` (`drain_rate: 0`), and
+/// a one-slot worker channel, so the whole WFQ content goes through
+/// the blocking hand-off at drain.
+#[test]
+fn drain_with_a_backlog_loses_and_duplicates_nothing() {
+    let subs = generate_submissions(&LoadgenSpec {
+        submissions: 300,
+        tenants: 24,
+        seed: 5,
+        families: ["montage", "sipht"].map(String::from).to_vec(),
+        sizes: vec![20],
+        workflow_seeds: 2,
+    });
+    let mut cfg = quick_cfg(4, 2);
+    cfg.queue_capacity = 1;
+    cfg.wfq.drain_rate = 0;
+    cfg.wfq.tenant_queue_cap = 10;
+    let mut svc = Service::new(cfg).unwrap();
+    let mut admitted = Vec::new();
+    for sub in subs {
+        if let Admission::Admitted { seq, .. } = svc.submit(sub) {
+            admitted.push(seq);
+        }
+    }
+    assert_eq!(svc.admitted_count(), admitted.len() as u64);
+    assert!(svc.shed_count() > 0, "some tenant outruns its queue");
+    assert!(admitted.len() > 100, "the backlog at drain is most of the batch");
+
+    let report = svc.drain().unwrap();
+    assert_eq!(report.admitted + report.shed, report.submitted);
+    assert_eq!((report.submitted, report.admitted), (300, admitted.len() as u64));
+    assert_eq!(report.failed, 0);
+    let result_seqs: Vec<u64> = report.results.iter().map(|c| c.seq).collect();
+    assert_eq!(result_seqs, admitted, "every admitted seq exactly once, in order");
+
+    let trace = report.trace_jsonl();
+    for kind in ["dequeue", "plan_done"] {
+        let mut seqs: Vec<u64> = trace
+            .lines()
+            .filter(|l| l.starts_with(&format!("{{\"ev\":\"{kind}\"")))
+            .map(|l| {
+                let (_, rest) = l.split_once("\"seq\":").unwrap();
+                rest[..rest.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, admitted, "one {kind} per admitted seq");
+    }
+}
+
+/// `all_tenant_summaries` groups the results once; what it renders is
+/// the per-tenant summaries in tenant order, as before.
+#[test]
+fn all_tenant_summaries_is_the_per_tenant_concatenation() {
+    let subs = generate_submissions(&LoadgenSpec {
+        submissions: 700,
+        tenants: 260,
+        seed: 3,
+        families: ["montage", "sipht"].map(String::from).to_vec(),
+        sizes: vec![20],
+        workflow_seeds: 1,
+    });
+    let mut cfg = quick_cfg(4, 2);
+    cfg.episodes_full = 1;
+    let report = run_batch(&cfg, subs).unwrap();
+    let tenants = report.tenant_ids();
+    assert!(tenants.len() >= 200, "{} tenants", tenants.len());
+    assert!(tenants.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+    let expected: String =
+        tenants.iter().map(|t| format!("## tenant {t}\n{}", report.tenant_summary(t))).collect();
+    assert_eq!(report.all_tenant_summaries(), expected);
 }
